@@ -30,6 +30,12 @@
 //!   append (`.log_batch(`) must come first in the file: an ack the
 //!   durable log has not seen is a write the client trusts but a crash
 //!   forgets.
+//! * **`writer-batch-apply`** — no per-op keyset mutation
+//!   (`keyset.insert(`, `keyset.remove(`, `insert_all(`) in the writer
+//!   loop's and WAL replay's files (`crates/server/src/server.rs`,
+//!   `durability.rs`) outside test modules: each is an `O(n)` array shift
+//!   per write, where staging the batch (`Stage`) and one
+//!   `KeySet::commit` pay it once per epoch or replay.
 //! * **`registry-complete`** — every `impl LearnedIndex for T` in
 //!   `lis-core` has its type constructed in
 //!   `IndexRegistry::with_defaults`, so new structures are reachable by
@@ -84,13 +90,14 @@ pub struct AnalysisReport {
 }
 
 /// The rule slugs this pass enforces, in report order.
-pub const RULES: [&str; 8] = [
+pub const RULES: [&str; 9] = [
     "zero-alloc",
     "thread-discipline",
     "condvar-predicate",
     "serve-no-panic",
     "ticket-definite-outcome",
     "durability-ack-order",
+    "writer-batch-apply",
     "registry-complete",
     "forbid-unsafe",
 ];
@@ -352,6 +359,10 @@ fn run_line_rules(
     allowed: &mut usize,
 ) {
     let serve_path = relpath.starts_with("crates/server/src/");
+    let write_plane = matches!(
+        relpath,
+        "crates/server/src/server.rs" | "crates/server/src/durability.rs"
+    );
     for line in scan.lines() {
         if line.in_test {
             continue;
@@ -468,6 +479,28 @@ fn run_line_rules(
                  timeout/shutdown arms instead of swallowing them"
                     .to_string(),
             );
+        }
+
+        // writer-batch-apply: a per-op array shift where the batch should
+        // be staged and committed once.
+        if write_plane {
+            for pat in ["keyset.insert(", "keyset.remove(", "insert_all("] {
+                if code.contains(pat) {
+                    push_violation(
+                        scan,
+                        violations,
+                        allowed,
+                        "writer-batch-apply",
+                        relpath,
+                        lineno,
+                        format!(
+                            "`{pat}..)` shifts the key array once per op — stage the batch \
+                             (`Stage::insert`/`remove`) and `KeySet::commit` it once"
+                        ),
+                    );
+                    break;
+                }
+            }
         }
 
         // serve-no-panic: panicking calls on the serve path.

@@ -79,6 +79,27 @@ pub fn durable_ack(slot: crate::ResponseSlot) {
 }
 "#;
 
+/// Per-op keyset mutation in one of the two write-plane files — in the
+/// replay loop, through a field path, and as a bulk `insert_all` — plus
+/// the same call in a test module, which is exempt.
+const VIOLATING_APPLY_FILE: &str = r#"
+pub fn replay(keyset: &mut KeySet, state: &mut State, ops: &[Op]) {
+    for op in ops {
+        let _ = keyset.insert(op.key);
+        let _ = state.keyset.remove(op.key);
+    }
+    let _ = keyset.insert_all(ops.iter().map(|op| op.key));
+}
+
+#[cfg(test)]
+mod tests {
+    #[test]
+    fn references_apply_per_op() {
+        let _ = keyset.insert(1);
+    }
+}
+"#;
+
 #[test]
 fn violating_tree_trips_every_rule() {
     let root = scratch_root("violating");
@@ -90,6 +111,18 @@ fn violating_tree_trips_every_rule() {
         VIOLATING_TICKET_FILE,
     );
     write(&root, "crates/server/src/ack_bad.rs", VIOLATING_ACK_FILE);
+    write(
+        &root,
+        "crates/server/src/durability.rs",
+        VIOLATING_APPLY_FILE,
+    );
+    // The same text outside the two write-plane files is not the rule's
+    // business.
+    write(
+        &root,
+        "crates/server/src/elsewhere.rs",
+        VIOLATING_APPLY_FILE,
+    );
     write(
         &root,
         "crates/core/src/index.rs",
@@ -164,6 +197,19 @@ fn violating_tree_trips_every_rule() {
             .any(|v| v.rule == "durability-ack-order" && v.message.contains("precedes")),
         "the eager ack must cite the append it precedes"
     );
+
+    // The three per-op mutations in the write-plane file are flagged; the
+    // test module's and the other file's are not.
+    let applies: Vec<usize> = report
+        .violations
+        .iter()
+        .filter(|v| v.rule == "writer-batch-apply")
+        .map(|v| {
+            assert!(v.file.ends_with("server/src/durability.rs"), "{v:?}");
+            v.line
+        })
+        .collect();
+    assert_eq!(applies, vec![4, 5, 7]);
 
     // The orphan index type is flagged; the registered one is not.
     let registry: Vec<&str> = report

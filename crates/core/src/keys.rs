@@ -10,8 +10,14 @@
 //! universe it was drawn from. It exposes rank queries, gap iteration (the
 //! maximal runs of unoccupied keys that the poisoning attack mines for
 //! candidates), and density accounting.
+//!
+//! A keyset that takes writes in batches does not pay the array shift per
+//! write: a [`Stage`] collects validated operations, [`KeyView`] reads
+//! "keyset plus stage" as if they were already applied, and
+//! [`KeySet::commit`] merges the stage in one pass.
 
 use crate::error::{LisError, Result};
+use std::collections::btree_map::{BTreeMap, Entry};
 use std::fmt;
 
 /// A key is a non-negative integer, as in the paper (Section III,
@@ -334,6 +340,76 @@ impl KeySet {
         Ok(())
     }
 
+    /// Merges `stage` into the key array in place and leaves it empty:
+    /// the result equals applying the staged operations one by one with
+    /// [`KeySet::insert`]/[`KeySet::remove`], for one `O(n)` pass instead
+    /// of one per operation.
+    ///
+    /// Between two consecutive staged keys lies a run of array keys that
+    /// all shift by the same amount (adds before the run minus removes
+    /// before it). Runs shifting toward the front are slid front to back,
+    /// runs shifting toward the back are slid back to front, and a run
+    /// with no net shift stays put — so every key moves at most once,
+    /// and a one-operation stage costs what `Vec::insert`/`Vec::remove`
+    /// does. A run's destination never overlaps a run that has yet to
+    /// move: the final layout is ordered and disjoint, and a run only
+    /// ever approaches its own final place.
+    ///
+    /// `stage` must have been filled against this keyset since its last
+    /// commit (see [`Stage`]).
+    pub fn commit(&mut self, stage: &mut Stage) {
+        let keys = &mut self.keys;
+        let old_len = keys.len();
+        let new_len = old_len.wrapping_add_signed(stage.net);
+        if new_len > old_len {
+            keys.resize(new_len, 0);
+        }
+
+        // Front to back: find every staged key's place in the array and
+        // slide the front-bound runs. Such a run lands left of where it
+        // started, so everything right of it — all that the later
+        // searches read — is still untouched.
+        let mut places = Vec::with_capacity(stage.pending.len());
+        let (mut run, mut shift) = (0usize, 0isize);
+        for (&key, &op) in &stage.pending {
+            let place = run + keys[run..old_len].partition_point(|&k| k < key);
+            if shift < 0 {
+                keys.copy_within(run..place, run - shift.unsigned_abs());
+            }
+            places.push(place);
+            (run, shift) = match op {
+                Pending::Add => (place, shift + 1),
+                Pending::Remove => (place + 1, shift - 1),
+            };
+        }
+        if shift < 0 {
+            keys.copy_within(run..old_len, run - shift.unsigned_abs());
+        }
+
+        // Back to front: slide the back-bound runs, dropping each added
+        // key into the slot that opens below its run.
+        let mut end = old_len;
+        for ((&key, &op), &place) in stage.pending.iter().rev().zip(places.iter().rev()) {
+            let run = match op {
+                Pending::Add => place,
+                Pending::Remove => place + 1,
+            };
+            if shift > 0 {
+                keys.copy_within(run..end, run + shift.unsigned_abs());
+            }
+            match op {
+                Pending::Add => {
+                    shift -= 1;
+                    keys[place.wrapping_add_signed(shift)] = key;
+                }
+                Pending::Remove => shift += 1,
+            }
+            end = place;
+        }
+        keys.truncate(new_len);
+        stage.clear();
+    }
+
     /// Splits the keyset into `parts` contiguous partitions of (near-)equal
     /// size, the partition scheme of the two-stage RMI evaluated in the
     /// paper ("a partition of non-overlapping keyset of equal size assigned
@@ -391,6 +467,207 @@ impl fmt::Display for KeySet {
             self.domain,
             100.0 * self.density()
         )
+    }
+}
+
+/// Read access to a sorted duplicate-free key collection — what a write
+/// screen may ask of "the keyset as of this operation" without caring
+/// whether that is a materialized [`KeySet`] or a keyset with writes
+/// [staged](Stage) on top. `&KeySet` coerces to `&dyn KeyView`.
+pub trait KeyView {
+    /// Number of keys.
+    fn len(&self) -> usize;
+
+    /// `true` iff the view holds no keys.
+    fn is_empty(&self) -> bool {
+        self.len() == 0
+    }
+
+    /// Whether `key` is a member.
+    fn contains(&self, key: Key) -> bool;
+
+    /// The `i`-th key strictly below `key`, counting down from the
+    /// nearest (`i = 0` is the predecessor).
+    fn nth_below(&self, key: Key, i: usize) -> Option<Key>;
+
+    /// The `i`-th key at or above `key`, counting up from the nearest
+    /// (`i = 0` is `key` itself when it is a member, else its successor).
+    fn nth_at_or_above(&self, key: Key, i: usize) -> Option<Key>;
+}
+
+impl KeyView for KeySet {
+    fn len(&self) -> usize {
+        self.keys.len()
+    }
+
+    fn contains(&self, key: Key) -> bool {
+        KeySet::contains(self, key)
+    }
+
+    fn nth_below(&self, key: Key, i: usize) -> Option<Key> {
+        let below = self.keys.partition_point(|&k| k < key);
+        Some(self.keys[below.checked_sub(i)?.checked_sub(1)?])
+    }
+
+    fn nth_at_or_above(&self, key: Key, i: usize) -> Option<Key> {
+        let below = self.keys.partition_point(|&k| k < key);
+        self.keys.get(below.checked_add(i)?).copied()
+    }
+}
+
+/// What a [`Stage`] holds for one key.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Pending {
+    /// The key is absent from the keyset and will be inserted.
+    Add,
+    /// The key is a member of the keyset and will be removed.
+    Remove,
+}
+
+/// Writes accepted against a [`KeySet`] but not yet merged into its
+/// array: the write plane stages a whole batch, then pays the `O(n)`
+/// array pass once in [`KeySet::commit`] instead of once per write.
+///
+/// Every operation is validated on entry exactly as [`KeySet::insert`]/
+/// [`KeySet::remove`] validate it, against the keyset *plus everything
+/// staged so far* — read that combination through [`Stage::over`]. An
+/// operation that undoes a staged one cancels it (insert-then-remove of
+/// a new key, remove-then-reinsert of a member), so the stage only ever
+/// holds keys absent from the keyset to add and members to remove, in
+/// key order, at `O(log k)` per operation for `k` staged keys.
+///
+/// A stage is tied to the one keyset its operations were validated
+/// against until it is committed or cleared.
+#[derive(Debug, Clone, Default)]
+pub struct Stage {
+    pending: BTreeMap<Key, Pending>,
+    /// Staged adds minus staged removes.
+    net: isize,
+}
+
+impl Stage {
+    /// An empty stage.
+    pub fn new() -> Self {
+        Self::default()
+    }
+
+    /// `true` iff nothing is staged.
+    pub fn is_empty(&self) -> bool {
+        self.pending.is_empty()
+    }
+
+    /// Drops everything staged; the keyset never saw it.
+    pub fn clear(&mut self) {
+        self.pending.clear();
+        self.net = 0;
+    }
+
+    /// Stages an insert of `key`. Errors, like [`KeySet::insert`], if the
+    /// key lies outside `base`'s domain or is already a member of the
+    /// staged view.
+    pub fn insert(&mut self, base: &KeySet, key: Key) -> Result<()> {
+        if !base.domain.contains(key) {
+            return Err(LisError::KeyOutOfDomain {
+                key,
+                domain: base.domain,
+            });
+        }
+        match self.pending.entry(key) {
+            Entry::Occupied(staged) if *staged.get() == Pending::Remove => {
+                staged.remove();
+            }
+            Entry::Vacant(slot) if !base.contains(key) => {
+                slot.insert(Pending::Add);
+            }
+            _ => return Err(LisError::DuplicateKey(key)),
+        }
+        self.net += 1;
+        Ok(())
+    }
+
+    /// Stages a removal of `key`. Errors, like [`KeySet::remove`], if the
+    /// key is not a member of the staged view.
+    pub fn remove(&mut self, base: &KeySet, key: Key) -> Result<()> {
+        match self.pending.entry(key) {
+            Entry::Occupied(staged) if *staged.get() == Pending::Add => {
+                staged.remove();
+            }
+            Entry::Vacant(slot) if base.contains(key) => {
+                slot.insert(Pending::Remove);
+            }
+            _ => return Err(LisError::KeyNotFound(key)),
+        }
+        self.net -= 1;
+        Ok(())
+    }
+
+    /// The keyset as it will be once this stage is committed to `base`.
+    pub fn over<'a>(&'a self, base: &'a KeySet) -> Staged<'a> {
+        Staged { base, stage: self }
+    }
+}
+
+/// A [`KeySet`] seen through the writes [staged](Stage) on top of it:
+/// every answer equals the same query on the committed keyset.
+#[derive(Debug, Clone, Copy)]
+pub struct Staged<'a> {
+    base: &'a KeySet,
+    stage: &'a Stage,
+}
+
+impl Staged<'_> {
+    fn survives(&self, key: &Key) -> bool {
+        self.stage.pending.get(key) != Some(&Pending::Remove)
+    }
+}
+
+fn added((&key, &op): (&Key, &Pending)) -> Option<Key> {
+    (op == Pending::Add).then_some(key)
+}
+
+/// The `n`-th key of two sorted streams merged, where `first(x, y)` says
+/// `x` comes before `y` in the streams' common order.
+fn nth_merged(
+    a: impl Iterator<Item = Key>,
+    b: impl Iterator<Item = Key>,
+    n: usize,
+    first: impl Fn(Key, Key) -> bool,
+) -> Option<Key> {
+    let (mut a, mut b) = (a.peekable(), b.peekable());
+    std::iter::from_fn(|| match (a.peek(), b.peek()) {
+        (Some(&x), Some(&y)) if first(y, x) => b.next(),
+        (Some(_), _) => a.next(),
+        (None, _) => b.next(),
+    })
+    .nth(n)
+}
+
+impl KeyView for Staged<'_> {
+    fn len(&self) -> usize {
+        self.base.len().wrapping_add_signed(self.stage.net)
+    }
+
+    fn contains(&self, key: Key) -> bool {
+        match self.stage.pending.get(&key) {
+            Some(&op) => op == Pending::Add,
+            None => self.base.contains(key),
+        }
+    }
+
+    fn nth_below(&self, key: Key, i: usize) -> Option<Key> {
+        let keys = self.base.keys();
+        let below = &keys[..keys.partition_point(|&k| k < key)];
+        let kept = below.iter().rev().filter(|k| self.survives(k)).copied();
+        let adds = self.stage.pending.range(..key).rev().filter_map(added);
+        nth_merged(kept, adds, i, |x, y| x > y)
+    }
+
+    fn nth_at_or_above(&self, key: Key, i: usize) -> Option<Key> {
+        let keys = self.base.keys();
+        let above = &keys[keys.partition_point(|&k| k < key)..];
+        let kept = above.iter().filter(|k| self.survives(k)).copied();
+        let adds = self.stage.pending.range(key..).filter_map(added);
+        nth_merged(kept, adds, i, |x, y| x < y)
     }
 }
 
@@ -566,5 +843,69 @@ mod tests {
     fn free_slots_between() {
         let ks = paper_example();
         assert_eq!(ks.free_slots_between(), 3 + 4);
+    }
+
+    /// Every way of toggling a 12-key universe over a 6-key base: each
+    /// pattern of front-bound, back-bound and unmoved runs the merge can
+    /// meet on a small array, both array ends included.
+    #[test]
+    fn commit_matches_per_op_for_every_toggle_pattern() {
+        let base = KeySet::new(vec![1, 2, 5, 6, 9, 10], KeyDomain::up_to(11)).unwrap();
+        for mask in 0u32..1 << 12 {
+            let mut expect = base.clone();
+            let mut staged = base.clone();
+            let mut stage = Stage::new();
+            for key in (0..12u64).filter(|k| mask >> k & 1 == 1) {
+                if base.contains(key) {
+                    expect.remove(key).unwrap();
+                    stage.remove(&staged, key).unwrap();
+                } else {
+                    expect.insert(key).unwrap();
+                    stage.insert(&staged, key).unwrap();
+                }
+                assert_eq!(stage.over(&staged).len(), expect.len());
+            }
+            staged.commit(&mut stage);
+            assert_eq!(staged, expect, "mask {mask:012b}");
+            assert!(stage.is_empty());
+        }
+    }
+
+    #[test]
+    fn stage_validates_like_insert_and_remove_and_cancels_undone_ops() {
+        let ks = paper_example();
+        let mut stage = Stage::new();
+        assert!(matches!(
+            stage.insert(&ks, 14),
+            Err(LisError::KeyOutOfDomain { key: 14, .. })
+        ));
+        assert!(matches!(
+            stage.insert(&ks, 6),
+            Err(LisError::DuplicateKey(6))
+        ));
+        assert!(matches!(
+            stage.remove(&ks, 9),
+            Err(LisError::KeyNotFound(9))
+        ));
+        stage.insert(&ks, 9).unwrap();
+        assert!(matches!(
+            stage.insert(&ks, 9),
+            Err(LisError::DuplicateKey(9))
+        ));
+        stage.remove(&ks, 6).unwrap();
+        assert!(matches!(
+            stage.remove(&ks, 6),
+            Err(LisError::KeyNotFound(6))
+        ));
+        let view = stage.over(&ks);
+        assert!(view.contains(9) && !view.contains(6));
+        assert_eq!(view.nth_below(12, 0), Some(9));
+        assert_eq!(view.nth_below(12, 1), Some(7));
+        assert_eq!(view.nth_at_or_above(3, 0), Some(7));
+        assert_eq!(view.nth_at_or_above(3, 3), None);
+        // Undoing both leaves nothing to commit.
+        stage.remove(&ks, 9).unwrap();
+        stage.insert(&ks, 6).unwrap();
+        assert!(stage.is_empty());
     }
 }

@@ -7,7 +7,8 @@
 //! This crate implements, from scratch, everything the paper's attacks are
 //! mounted against:
 //!
-//! * [`keys`] — sorted duplicate-free keysets, ranks, gap enumeration;
+//! * [`keys`] — sorted duplicate-free keysets, ranks, gap enumeration,
+//!   and staged batch writes merged in one pass;
 //! * [`stats`] — numerically robust sample moments over CDF pairs;
 //! * [`linreg`] — the closed-form linear regression on CDFs (Theorem 1),
 //!   the second-stage building block of the RMI;
@@ -24,7 +25,7 @@
 //!   comparison counting, including the error-bounded window search the
 //!   lookup hot path runs;
 //! * [`scratch`] — pooled scratch buffers keeping batched lookups free of
-//!   per-batch heap allocation;
+//!   per-batch heap allocation, and self-removing scratch directories;
 //! * [`par`] — the scoped-thread fan-out discipline the build plane
 //!   shares (contiguous chunks, capped workers, bit-identical output
 //!   regardless of thread count);
@@ -71,8 +72,8 @@ pub mod store;
 
 pub use error::{LisError, Result};
 pub use index::{DynIndex, ErasedIndex, IndexRegistry, LearnedIndex, Lookup};
-pub use keys::{Gap, Key, KeyDomain, KeySet, Rank};
+pub use keys::{Gap, Key, KeyDomain, KeySet, KeyView, Rank, Stage};
 pub use linreg::LinearModel;
 pub use rmi::{Rmi, RmiConfig, Routing};
-pub use scratch::ScratchPool;
+pub use scratch::{ScratchDir, ScratchPool};
 pub use shard::{parse_sharded_name, ShardConfig, ShardedIndex};

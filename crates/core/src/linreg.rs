@@ -126,11 +126,33 @@ impl LinearModel {
     /// ranks `1..=len` — the zero-copy twin used by the optimized build
     /// plane. Residual arithmetic is identical, so the result matches the
     /// keyset path bit for bit.
+    ///
+    /// Four running maxima, each kept by compare-and-select, break the
+    /// one-`max`-per-key dependency chain and skip `f64::max`'s NaN
+    /// handling. A maximum is exact and the residuals are never NaN, so
+    /// neither the order they are compared in nor the form of the
+    /// comparison can change the result.
     pub fn max_abs_error_slice(&self, keys: &[Key]) -> f64 {
-        keys.iter()
-            .enumerate()
-            .map(|(i, &k)| self.residual(k, i + 1).abs())
-            .fold(0.0, f64::max)
+        let mut max = [0.0f64; 4];
+        let mut keep = |lane: usize, key: Key, rank: usize| {
+            let e = self.residual(key, rank).abs();
+            if e > max[lane] {
+                max[lane] = e;
+            }
+        };
+        let quads = keys.chunks_exact(4);
+        let tail = quads.remainder();
+        let mut rank = 1;
+        for quad in quads {
+            for (lane, &key) in quad.iter().enumerate() {
+                keep(lane, key, rank + lane);
+            }
+            rank += 4;
+        }
+        for (lane, &key) in tail.iter().enumerate() {
+            keep(lane, key, rank + lane);
+        }
+        max[0].max(max[1]).max(max[2].max(max[3]))
     }
 }
 

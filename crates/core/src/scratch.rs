@@ -14,7 +14,13 @@
 //! pop/push, never across the batch work, so concurrent server workers
 //! sharing one index contend for nanoseconds (and simply build a fresh
 //! buffer when the pool happens to be empty).
+//!
+//! [`ScratchDir`] is the same idea for the filesystem: a directory that
+//! is unique per call and removed when its owner is done with it.
 
+use crate::error::{LisError, Result};
+use std::path::{Path, PathBuf};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
 
 /// A pool of reusable scratch buffers (see the module docs).
@@ -74,9 +80,57 @@ impl<T> std::fmt::Debug for ScratchPool<T> {
     }
 }
 
+/// A fresh directory under the system temp dir, removed with everything
+/// in it on drop.
+///
+/// The name is `lis-<label>-<pid>-<n>` with `n` from a process-wide
+/// counter, so neither two tests of one process (cargo runs them on
+/// parallel threads) nor two concurrent `cargo test` runs ever share a
+/// directory, whatever labels and seeds they pass.
+#[derive(Debug)]
+pub struct ScratchDir {
+    path: PathBuf,
+}
+
+impl ScratchDir {
+    /// Creates the directory. `label` only makes the name readable.
+    pub fn new(label: &str) -> Result<Self> {
+        static NEXT: AtomicU64 = AtomicU64::new(0);
+        let n = NEXT.fetch_add(1, Ordering::Relaxed);
+        let path = std::env::temp_dir().join(format!("lis-{label}-{}-{n}", std::process::id()));
+        std::fs::create_dir_all(&path).map_err(|e| LisError::Io {
+            context: format!("create scratch dir {}: {e}", path.display()),
+        })?;
+        Ok(Self { path })
+    }
+
+    /// Where the directory is.
+    pub fn path(&self) -> &Path {
+        &self.path
+    }
+}
+
+impl Drop for ScratchDir {
+    fn drop(&mut self) {
+        let _ = std::fs::remove_dir_all(&self.path);
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn scratch_dirs_are_distinct_and_removed_on_drop() {
+        let a = ScratchDir::new("same-label").unwrap();
+        let b = ScratchDir::new("same-label").unwrap();
+        assert_ne!(a.path(), b.path());
+        std::fs::write(a.path().join("file"), b"x").unwrap();
+        let gone = a.path().to_path_buf();
+        drop(a);
+        assert!(!gone.exists());
+        assert!(b.path().is_dir());
+    }
 
     #[test]
     fn acquire_release_reuses_buffers() {

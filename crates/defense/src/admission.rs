@@ -31,7 +31,7 @@
 //! All screens admit every `Remove` — deletions only shrink the structure
 //! the attacker is trying to bloat, and benign churn must stay cheap.
 
-use lis_core::keys::KeySet;
+use lis_core::keys::{KeySet, KeyView};
 use lis_core::stats::quantile_sorted;
 use lis_server::{Admission, AdmissionPolicy, WriteOp};
 use std::collections::HashMap;
@@ -72,7 +72,7 @@ impl AdmissionPolicy for SourceRateLimit {
         "rate-limit"
     }
 
-    fn admit(&mut self, op: &WriteOp, source: u64, _keyset: &KeySet) -> Admission {
+    fn admit(&mut self, op: &WriteOp, source: u64, _keyset: &dyn KeyView) -> Admission {
         self.seq += 1;
         if matches!(op, WriteOp::Remove(_)) {
             return Admission::Admit;
@@ -95,7 +95,8 @@ impl AdmissionPolicy for SourceRateLimit {
 /// At construction it freezes the bootstrap keyset's average gap; at
 /// admission time it applies two screens against the current
 /// authoritative keyset (which includes every previously admitted
-/// write), both thresholded at `bootstrap average gap / crowd_factor`:
+/// write, read through the [`KeyView`] the writer hands it), both
+/// thresholded at `bootstrap average gap / crowd_factor`:
 ///
 /// 1. **nearest neighbour** — the gap the insert itself creates.
 ///    Loss-maximal poison hugs a gap endpoint (distance 1 from an
@@ -137,41 +138,34 @@ impl AdmissionPolicy for DensityScreen {
         "density-screen"
     }
 
-    fn admit(&mut self, op: &WriteOp, _source: u64, keyset: &KeySet) -> Admission {
+    fn admit(&mut self, op: &WriteOp, _source: u64, keyset: &dyn KeyView) -> Admission {
         let key = match *op {
             WriteOp::Insert(k) => k,
             WriteOp::Remove(_) => return Admission::Admit,
         };
-        let keys = keyset.keys();
-        let n = keys.len();
-        if n < 2 * self.window + 1 {
+        if keyset.len() < 2 * self.window + 1 {
             return Admission::Admit;
         }
-        let pos = keys.binary_search(&key).unwrap_or_else(|p| p);
+        // Distance to the `i`-th neighbour on each side, where one exists.
+        let flanks = |i: usize| {
+            let below = keyset.nth_below(key, i).map(|k| key - k);
+            let above = keyset.nth_at_or_above(key, i).map(|k| k - key);
+            below.into_iter().chain(above)
+        };
         // First screen: the gap the insert itself creates. Loss-maximal
         // poison hugs an existing key (endpoint placement), so its
         // nearest-neighbour distance is tiny; a benign insert lands
         // mid-gap, half an average gap from both sides.
-        let before = (pos > 0).then(|| key - keys[pos - 1]);
-        let after = (pos < n).then(|| keys[pos] - key);
-        let nearest = before.into_iter().chain(after).min().unwrap_or(u64::MAX);
+        let nearest = flanks(0).min().unwrap_or(u64::MAX);
         if (nearest as f64) < self.threshold {
             return Admission::Reject("density-screen".into());
         }
         // Second screen: the `window` nearest existing keys on each side,
         // judged separately — catches keys spread at safe pairwise
         // distances that still crowd one flank.
-        if pos >= self.window {
-            let left = (key - keys[pos - self.window]) as f64 / self.window as f64;
-            if left < self.threshold {
-                return Admission::Reject("density-screen".into());
-            }
-        }
-        if pos + self.window <= n {
-            let right = (keys[pos + self.window - 1] - key) as f64 / self.window as f64;
-            if right < self.threshold {
-                return Admission::Reject("density-screen".into());
-            }
+        let window = self.window as f64;
+        if flanks(self.window - 1).any(|span| (span as f64 / window) < self.threshold) {
+            return Admission::Reject("density-screen".into());
         }
         Admission::Admit
     }
@@ -208,7 +202,7 @@ impl AdmissionPolicy for TrustedFence {
         "trusted-fence"
     }
 
-    fn admit(&mut self, op: &WriteOp, _source: u64, _keyset: &KeySet) -> Admission {
+    fn admit(&mut self, op: &WriteOp, _source: u64, _keyset: &dyn KeyView) -> Admission {
         match *op {
             WriteOp::Remove(_) => Admission::Admit,
             WriteOp::Insert(k) => {

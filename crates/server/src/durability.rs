@@ -19,9 +19,10 @@
 //!   growth. A clean shutdown writes a final snapshot, so recovering a
 //!   cleanly stopped server replays nothing.
 //! * **Recovery.** [`recover`] loads the newest valid snapshot and
-//!   replays the WAL tail. A *torn final record* (the append the process
-//!   died inside) is tolerated and truncated — by construction it was
-//!   never acked. Any *mid-log* damage (a record that fails its checksum
+//!   replays the WAL tail (each op validated in log order, the whole tail
+//!   merged into the key array in one pass). A *torn final record* (the
+//!   append the process died inside) is tolerated and truncated — by
+//!   construction it was never acked. Any *mid-log* damage (a record that fails its checksum
 //!   with more records behind it) is refused with a precise
 //!   [`LisError::Corruption`]: replaying past it would resurrect a state
 //!   that diverges from what clients were told.
@@ -57,7 +58,7 @@
 
 use crate::write::WriteOp;
 use lis_core::error::{LisError, Result};
-use lis_core::keys::{KeyDomain, KeySet};
+use lis_core::keys::{KeyDomain, KeySet, Stage};
 use std::fs::{File, OpenOptions};
 use std::io::{Read, Seek, SeekFrom, Write};
 use std::path::{Path, PathBuf};
@@ -590,6 +591,10 @@ pub fn recover(dir: &Path) -> Result<Recovered> {
     let mut replayed_ops = 0usize;
     let mut valid_end = at;
     let mut truncated_bytes = 0u64;
+    // Replayed ops are validated against the snapshot plus everything
+    // replayed before them, and merged into the key array once, after the
+    // last record: the tail costs one `O(n)` pass, not one per op.
+    let mut stage = Stage::new();
     while at < bytes.len() {
         let remaining = bytes.len() - at;
         if remaining < RECORD_HEADER {
@@ -646,8 +651,8 @@ pub fn recover(dir: &Path) -> Result<Recovered> {
             let tag = payload[base];
             let key = u64_at(payload, base + 1).unwrap_or(0);
             let applied = match tag {
-                0 => keyset.insert(key),
-                1 => keyset.remove(key),
+                0 => stage.insert(&keyset, key),
+                1 => stage.remove(&keyset, key),
                 other => {
                     return Err(corrupt(format!(
                         "wal record lsn {lsn} op {i}: unknown tag {other}"
@@ -666,6 +671,7 @@ pub fn recover(dir: &Path) -> Result<Recovered> {
         replayed_ops += nops;
         valid_end = at;
     }
+    keyset.commit(&mut stage);
 
     if truncated_bytes > 0 {
         // Physically drop the torn tail so a resumed WAL is clean.
@@ -754,13 +760,7 @@ fn load_snapshot(path: &Path, expect_lsn: u64) -> Result<(KeySet, u64)> {
 mod tests {
     use super::*;
     use lis_core::keys::Key;
-
-    fn scratch(name: &str) -> PathBuf {
-        let dir =
-            std::env::temp_dir().join(format!("lis-durability-{}-{name}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
-        dir
-    }
+    use lis_core::scratch::ScratchDir;
 
     fn base_keyset(n: u64) -> KeySet {
         let domain = KeyDomain::new(0, 1_000_000).unwrap();
@@ -789,22 +789,23 @@ mod tests {
 
     #[test]
     fn bootstrap_then_recover_roundtrips_the_keyset() {
-        let dir = scratch("roundtrip");
+        let scratch = ScratchDir::new("durability-roundtrip").unwrap();
+        let dir = scratch.path();
         let ks = base_keyset(500);
-        let _store = store(&dir, &ks, u64::MAX);
-        let rec = recover(&dir).unwrap();
+        let _store = store(dir, &ks, u64::MAX);
+        let rec = recover(dir).unwrap();
         assert_eq!(rec.keyset.keys(), ks.keys());
         assert_eq!(rec.last_lsn, 0);
         assert_eq!(rec.replayed_records, 0);
         assert_eq!(rec.truncated_bytes, 0);
-        std::fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]
     fn wal_tail_replays_in_order() {
-        let dir = scratch("replay");
+        let scratch = ScratchDir::new("durability-replay").unwrap();
+        let dir = scratch.path();
         let mut ks = base_keyset(100);
-        let mut s = store(&dir, &ks, u64::MAX);
+        let mut s = store(dir, &ks, u64::MAX);
         for round in 0..5u64 {
             let ins: Vec<Key> = (0..3).map(|i| 2_000 + round * 10 + i).collect();
             let ops: Vec<WriteOp> = ins.iter().map(|&k| WriteOp::Insert(k)).collect();
@@ -819,20 +820,20 @@ mod tests {
         s.log_batch(&[WriteOp::Remove(victim)], 6, false, false)
             .unwrap();
 
-        let rec = recover(&dir).unwrap();
+        let rec = recover(dir).unwrap();
         assert_eq!(rec.keyset.keys(), ks.keys());
         assert_eq!(rec.last_lsn, 6);
         assert_eq!(rec.replayed_records, 6);
         assert_eq!(rec.replayed_ops, 16);
         assert_eq!(rec.flushes, 6, "flushes counter must ride the records");
-        std::fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]
     fn snapshot_truncates_the_wal_and_persists_flushes() {
-        let dir = scratch("snapshot");
+        let scratch = ScratchDir::new("durability-snapshot").unwrap();
+        let dir = scratch.path();
         let mut ks = base_keyset(100);
-        let mut s = store(&dir, &ks, 4);
+        let mut s = store(dir, &ks, 4);
         for round in 0..4u64 {
             let k = 3_000 + round;
             ks.insert(k).unwrap();
@@ -847,20 +848,20 @@ mod tests {
         s.log_batch(&[WriteOp::Insert(9_999)], 5, false, false)
             .unwrap();
 
-        let rec = recover(&dir).unwrap();
+        let rec = recover(dir).unwrap();
         assert_eq!(rec.keyset.keys(), ks.keys());
         assert_eq!(rec.snapshot_lsn, 4);
         assert_eq!(rec.replayed_records, 1);
         assert_eq!(rec.last_lsn, 5);
         assert_eq!(rec.flushes, 5);
-        std::fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]
     fn torn_final_record_is_truncated_not_fatal() {
-        let dir = scratch("torn");
+        let scratch = ScratchDir::new("durability-torn").unwrap();
+        let dir = scratch.path();
         let mut ks = base_keyset(100);
-        let mut s = store(&dir, &ks, u64::MAX);
+        let mut s = store(dir, &ks, u64::MAX);
         ks.insert(4_001).unwrap();
         s.log_batch(&[WriteOp::Insert(4_001)], 1, false, false)
             .unwrap();
@@ -868,34 +869,33 @@ mod tests {
         s.log_batch(&[WriteOp::Insert(4_002)], 2, true, false)
             .unwrap();
 
-        let rec = recover(&dir).unwrap();
+        let rec = recover(dir).unwrap();
         assert_eq!(rec.keyset.keys(), ks.keys(), "torn batch half-applied");
         assert_eq!(rec.last_lsn, 1);
         assert!(rec.truncated_bytes > 0);
         // The truncation is physical: a second recovery sees a clean log.
-        let rec2 = recover(&dir).unwrap();
+        let rec2 = recover(dir).unwrap();
         assert_eq!(rec2.truncated_bytes, 0);
         assert_eq!(rec2.keyset.keys(), ks.keys());
-        std::fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]
     fn mid_log_bit_flip_is_refused_with_corruption() {
-        let dir = scratch("bitflip");
+        let scratch = ScratchDir::new("durability-bitflip").unwrap();
+        let dir = scratch.path();
         let ks = base_keyset(100);
-        let mut s = store(&dir, &ks, u64::MAX);
+        let mut s = store(dir, &ks, u64::MAX);
         // Record 1 takes the flip; record 2 behind it makes it mid-log.
         s.log_batch(&[WriteOp::Insert(5_001)], 1, false, true)
             .unwrap();
         s.log_batch(&[WriteOp::Insert(5_002)], 2, false, false)
             .unwrap();
-        let err = recover(&dir).unwrap_err();
+        let err = recover(dir).unwrap_err();
         assert!(
             matches!(err, LisError::Corruption { .. }),
             "expected Corruption, got {err}"
         );
         assert!(err.to_string().contains("checksum mismatch"), "{err}");
-        std::fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]
@@ -903,31 +903,31 @@ mod tests {
         // The documented limitation boundary: damage on the very last
         // record cannot be told from a torn in-place write, so it
         // truncates instead of refusing.
-        let dir = scratch("flip-tail");
+        let scratch = ScratchDir::new("durability-flip-tail").unwrap();
+        let dir = scratch.path();
         let ks = base_keyset(50);
-        let mut s = store(&dir, &ks, u64::MAX);
+        let mut s = store(dir, &ks, u64::MAX);
         s.log_batch(&[WriteOp::Insert(6_001)], 1, false, true)
             .unwrap();
-        let rec = recover(&dir).unwrap();
+        let rec = recover(dir).unwrap();
         assert_eq!(rec.keyset.keys(), ks.keys());
         assert!(rec.truncated_bytes > 0);
-        std::fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]
     fn lsn_gap_is_refused() {
-        let dir = scratch("gap");
+        let scratch = ScratchDir::new("durability-gap").unwrap();
+        let dir = scratch.path();
         let ks = base_keyset(50);
-        let mut s = store(&dir, &ks, u64::MAX);
+        let mut s = store(dir, &ks, u64::MAX);
         s.log_batch(&[WriteOp::Insert(7_001)], 1, false, false)
             .unwrap();
         s.next_lsn += 1; // Skip an LSN, as a lost record would.
         s.log_batch(&[WriteOp::Insert(7_002)], 2, false, false)
             .unwrap();
-        let err = recover(&dir).unwrap_err();
+        let err = recover(dir).unwrap_err();
         assert!(matches!(err, LisError::Corruption { .. }), "{err}");
         assert!(err.to_string().contains("LSN gap"), "{err}");
-        std::fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]
@@ -939,31 +939,32 @@ mod tests {
 
     #[test]
     fn corrupt_snapshot_is_refused() {
-        let dir = scratch("snapcorrupt");
+        let scratch = ScratchDir::new("durability-snapcorrupt").unwrap();
+        let dir = scratch.path();
         let ks = base_keyset(80);
-        let _s = store(&dir, &ks, u64::MAX);
+        let _s = store(dir, &ks, u64::MAX);
         let snap = dir.join(snapshot_name(0));
         let mut bytes = std::fs::read(&snap).unwrap();
         let mid = bytes.len() / 2;
         bytes[mid] ^= 0x40;
         std::fs::write(&snap, bytes).unwrap();
-        let err = recover(&dir).unwrap_err();
+        let err = recover(dir).unwrap_err();
         assert!(matches!(err, LisError::Corruption { .. }), "{err}");
-        std::fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]
     fn resume_continues_lsns_and_flushes() {
-        let dir = scratch("resume");
+        let scratch = ScratchDir::new("durability-resume").unwrap();
+        let dir = scratch.path();
         let mut ks = base_keyset(60);
-        let mut s = store(&dir, &ks, u64::MAX);
+        let mut s = store(dir, &ks, u64::MAX);
         ks.insert(8_001).unwrap();
         s.log_batch(&[WriteOp::Insert(8_001)], 3, false, false)
             .unwrap();
-        let rec = recover(&dir).unwrap();
+        let rec = recover(dir).unwrap();
         assert_eq!(rec.flushes, 3);
 
-        let dur = Durability::resume(&dir, &rec).snapshot_every(1_000);
+        let dur = Durability::resume(dir, &rec).snapshot_every(1_000);
         assert_eq!(dur.resume_flushes(), 3);
         let mut resumed = dur
             .open(&rec.keyset, Duration::from_millis(50))
@@ -975,10 +976,9 @@ mod tests {
         resumed
             .log_batch(&[WriteOp::Insert(8_002)], 4, false, false)
             .unwrap();
-        let rec2 = recover(&dir).unwrap();
+        let rec2 = recover(dir).unwrap();
         assert_eq!(rec2.keyset.keys(), ks2.keys());
         assert_eq!(rec2.last_lsn, rec.last_lsn + 1);
         assert_eq!(rec2.flushes, 4);
-        std::fs::remove_dir_all(&dir).unwrap();
     }
 }

@@ -16,10 +16,11 @@
 //! dedicated bounded write queue drains into one writer thread that owns
 //! the authoritative [`KeySet`] and a mutable shadow index. Every drained
 //! write micro-batch is validated, screened by an
-//! [`AdmissionPolicy`](crate::write::AdmissionPolicy), applied to the
-//! shadow (natively via [`DynIndex::try_insert`]/[`DynIndex::try_remove`]
-//! when the structure supports in-place writes, else by rebuilding from
-//! the keyset), and published as one new epoch through the
+//! [`AdmissionPolicy`](crate::write::AdmissionPolicy), staged, logged,
+//! merged into the keyset in one pass, applied to the shadow (natively
+//! via [`DynIndex::try_insert`]/[`DynIndex::try_remove`] when the
+//! structure supports in-place writes, else by rebuilding from the
+//! keyset), and published as one new epoch through the
 //! [`EpochSlot`](crate::epoch) — an `Arc` swap, so readers never block on
 //! writers and the lookup hot path stays lock-free between epochs.
 //!
@@ -48,7 +49,7 @@ use crate::write::{
 use lis_check::thread::JoinHandle;
 use lis_core::error::{LisError, Result};
 use lis_core::index::{DynIndex, Lookup};
-use lis_core::keys::{Key, KeySet};
+use lis_core::keys::{Key, KeySet, KeyView, Stage};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -676,6 +677,7 @@ impl ServerBuilder {
             back: Some(back),
             front_lag: Vec::new(),
             back_lag: Vec::new(),
+            rebuild_only: false,
             build: Box::new(build),
             admission,
             rollback,
@@ -718,9 +720,10 @@ impl Server {
     /// shadow index.
     ///
     /// Per write micro-batch the writer validates each operation against
-    /// the keyset, consults `admission` (see
-    /// [`AdmissionPolicy`](crate::write::AdmissionPolicy)), applies the
-    /// admitted ops, and publishes one new epoch: in-place via
+    /// the keyset and the batch's earlier accepted operations, consults
+    /// `admission` (see [`AdmissionPolicy`](crate::write::AdmissionPolicy))
+    /// with the same view, merges the admitted ops into the keyset in one
+    /// pass, and publishes one new epoch: in-place via
     /// [`DynIndex::try_insert`]/[`DynIndex::try_remove`] when the
     /// structure supports them (ALEX), else by rebuilding from the keyset
     /// with `build`. Readers never block on any of this — publication is
@@ -1134,6 +1137,11 @@ struct WriterState {
     back: Option<DynIndex>,
     front_lag: Vec<WriteOp>,
     back_lag: Vec<WriteOp>,
+    /// Set once the shadow has answered a native write with
+    /// [`LisError::Unsupported`]: the victim is statically trained, every
+    /// epoch is a rebuild from the keyset, and a retired front is of no
+    /// use as the next shadow.
+    rebuild_only: bool,
     build: IndexBuild,
     admission: Box<dyn AdmissionPolicy>,
     rollback: Option<RollbackState>,
@@ -1313,8 +1321,13 @@ fn supervised_writer(
     }
 }
 
-/// The writer thread: drain write micro-batches, validate + screen +
-/// apply them, publish one epoch per batch, and account the outcome.
+/// The writer thread: drain write micro-batches and take each through
+/// validate → admit → stage → log → commit → rebuild → publish → ack,
+/// one epoch per batch, then account the outcome. Operations keep their
+/// submission order and each is judged against the keyset *plus* the
+/// batch's earlier accepted operations, so a verdict is the one a
+/// batch-of-one writer would have reached; the keyset's `O(n)` array pass
+/// and the index rebuild are paid once per batch, not once per write.
 /// With a rollback policy installed the drain uses a bounded tick so
 /// completed read windows reach the drift monitor even when the write
 /// plane goes idle.
@@ -1329,6 +1342,10 @@ fn writer_loop(
     let mut batch: Vec<WriteRequest> = Vec::with_capacity(policy.max_batch);
     let mut pending: Vec<Arc<ResponseSlot<WriteStatus>>> = Vec::new();
     let mut applied_ops: Vec<WriteOp> = Vec::new();
+    // The batch's accepted ops, pending on top of `state.keyset`. Local
+    // to the loop, so an unwind out of it (a crash, a kill) drops a
+    // half-staged batch and leaves the keyset as the last commit left it.
+    let mut stage = Stage::new();
     loop {
         let tick = if state.rollback.is_some() {
             queue.pop_batch_tick(policy, &mut batch, shared.window)
@@ -1382,19 +1399,20 @@ fn writer_loop(
         let mut rejected = 0u64;
         let mut failed = 0u64;
         for request in batch.drain(..) {
+            let current = stage.over(&state.keyset);
             let status = match request.op {
-                WriteOp::Insert(k) if state.keyset.contains(k) => Some(WriteStatus::Failed {
+                WriteOp::Insert(k) if current.contains(k) => Some(WriteStatus::Failed {
                     reason: format!("duplicate key {k}"),
                 }),
-                WriteOp::Remove(k) if !state.keyset.contains(k) => Some(WriteStatus::Failed {
+                WriteOp::Remove(k) if !current.contains(k) => Some(WriteStatus::Failed {
                     reason: format!("key {k} not present"),
                 }),
-                op => match state.admission.admit(&op, request.source, &state.keyset) {
+                op => match state.admission.admit(&op, request.source, &current) {
                     Admission::Reject(filter) => Some(WriteStatus::Rejected { filter }),
                     Admission::Admit => {
                         let outcome = match op {
-                            WriteOp::Insert(k) => state.keyset.insert(k),
-                            WriteOp::Remove(k) => state.keyset.remove(k),
+                            WriteOp::Insert(k) => stage.insert(&state.keyset, k),
+                            WriteOp::Remove(k) => stage.remove(&state.keyset, k),
                         };
                         match outcome {
                             Ok(()) => None,
@@ -1420,10 +1438,11 @@ fn writer_loop(
                 }
             }
         }
-        // Durability: the WAL append lands *before* any ticket below is
-        // fulfilled `Applied` (group commit — one fsync per drained batch
-        // at `DurabilityLevel::Batch`); the `durability-ack-order` lint
-        // polices exactly this ordering. The storage fault sites model
+        // Durability: the WAL append lands *before* the batch is merged
+        // into the keyset and before any ticket below is fulfilled
+        // `Applied` (group commit — one fsync per drained batch at
+        // `DurabilityLevel::Batch`); the `durability-ack-order` lint
+        // polices the ack ordering. The storage fault sites model
         // process death around the append: before it (the batch is
         // neither logged nor acked), torn inside it (a prefix is on disk,
         // nothing acked), or after it (logged and recoverable, but the
@@ -1439,10 +1458,10 @@ fn writer_loop(
                 match store.log_batch(&applied_ops, state.flushes, tear, flip) {
                     Ok(_lsn) => {}
                     Err(e) => {
-                        // The batch never reached the log: un-apply it so
-                        // the authoritative keyset matches durable state,
-                        // and fail the tickets retryably.
-                        undo_ops(&mut state.keyset, &applied_ops);
+                        // The batch never reached the log: drop it
+                        // unmerged, so the authoritative keyset matches
+                        // durable state, and fail the tickets retryably.
+                        stage.clear();
                         applied_ops.clear();
                         failed += pending.len() as u64;
                         for response in pending.drain(..) {
@@ -1457,13 +1476,20 @@ fn writer_loop(
         }
         let mut epochs_published = 0u64;
         if !applied_ops.is_empty() {
+            state.keyset.commit(&mut stage);
             state.front_lag.extend_from_slice(&applied_ops);
             state.back_lag.extend_from_slice(&applied_ops);
             // Bring the shadow up to the authoritative keyset: native
             // in-place writes when the structure supports them, else a
             // full rebuild (the static-structure path).
             let native_ok = match state.back.as_mut() {
-                Some(back) => apply_native(back, &state.back_lag).is_ok(),
+                Some(back) => match apply_native(back, &state.back_lag) {
+                    Ok(()) => true,
+                    Err(e) => {
+                        state.rebuild_only |= matches!(e, LisError::Unsupported(_));
+                        false
+                    }
+                },
                 None => false,
             };
             if !native_ok {
@@ -1486,7 +1512,15 @@ fn writer_loop(
                     }
                     // The old front becomes the next shadow; it is missing
                     // exactly the ops applied since it was last published.
-                    match recover(old) {
+                    // A rebuild-only victim has no use for one: waiting
+                    // for readers to hand it back would only delay the
+                    // next batch, so the last reader to let go frees it.
+                    let reclaimed = if state.rebuild_only {
+                        None
+                    } else {
+                        recover(old)
+                    };
+                    match reclaimed {
                         Some(index) => {
                             state.back = Some(index);
                             state.back_lag = state.front_lag.clone();
@@ -1540,21 +1574,6 @@ fn writer_loop(
     }
 }
 
-/// Reverse-applies `ops` to the keyset after a failed WAL append: the
-/// batch was validated and applied in submission order, so undoing it in
-/// reverse order with inverse ops restores the pre-batch state exactly.
-/// The inverses cannot fail against that history; a failure anyway would
-/// mean the keyset diverged mid-batch, which the validation loop rules
-/// out, so errors are ignored rather than unwound.
-fn undo_ops(keyset: &mut KeySet, ops: &[WriteOp]) {
-    for op in ops.iter().rev() {
-        let _ = match *op {
-            WriteOp::Insert(k) => keyset.remove(k),
-            WriteOp::Remove(k) => keyset.insert(k),
-        };
-    }
-}
-
 /// SIGKILL-equivalent exit from the writer: resolve the batch's
 /// outstanding tickets first (a real kill leaves those clients with dead
 /// connections; here the tickets must still resolve so no client blocks
@@ -1578,6 +1597,7 @@ mod tests {
     use crate::write::AdmitAll;
     use lis_core::index::IndexRegistry;
     use lis_core::keys::KeySet;
+    use lis_core::scratch::ScratchDir;
 
     fn served_index(n: u64) -> (KeySet, Arc<DynIndex>) {
         let ks = KeySet::from_keys((0..n).map(|i| i * 7 + 3).collect()).unwrap();
@@ -1875,7 +1895,7 @@ mod tests {
             fn name(&self) -> &str {
                 "odd-only"
             }
-            fn admit(&mut self, op: &WriteOp, _source: u64, _ks: &KeySet) -> Admission {
+            fn admit(&mut self, op: &WriteOp, _source: u64, _ks: &dyn KeyView) -> Admission {
                 if op.key() % 2 == 1 {
                     Admission::Admit
                 } else {
@@ -2151,24 +2171,18 @@ mod tests {
         assert!(report.writes_quarantined >= 1);
     }
 
-    fn scratch_dir(name: &str) -> std::path::PathBuf {
-        let dir =
-            std::env::temp_dir().join(format!("lis-server-dur-{}-{name}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
-        dir
-    }
-
     /// End-to-end durable path: acked writes survive a clean shutdown,
     /// and a server resumed from `recover` continues the timeline (new
     /// LSNs, new writes, the persisted fault-schedule counter).
     #[test]
     fn durable_server_persists_acked_writes_across_restart() {
-        let dir = scratch_dir("restart");
+        let scratch = ScratchDir::new("server-restart").unwrap();
+        let dir = scratch.path();
         let domain = lis_core::keys::KeyDomain::new(0, 100_000_000).unwrap();
         let ks = KeySet::new((0..500u64).map(|i| i * 7 + 3).collect(), domain).unwrap();
         let registry = IndexRegistry::with_defaults();
         let server = Server::builder(ServeConfig::offline().workers(1).write_batch(8))
-            .durability(Durability::dir(&dir).snapshot_every(64))
+            .durability(Durability::dir(dir).snapshot_every(64))
             .start_online(
                 ks.clone(),
                 move |ks| registry.build("btree", ks),
@@ -2189,7 +2203,7 @@ mod tests {
             .is_applied());
         server.shutdown();
 
-        let rec = crate::durability::recover(&dir).unwrap();
+        let rec = crate::durability::recover(dir).unwrap();
         let mut expect = ks.clone();
         for &k in &acked {
             expect.insert(k).unwrap();
@@ -2202,7 +2216,7 @@ mod tests {
         // Resume the timeline under the same directory.
         let registry = IndexRegistry::with_defaults();
         let resumed = Server::builder(ServeConfig::offline().workers(1).write_batch(8))
-            .durability(Durability::resume(&dir, &rec))
+            .durability(Durability::resume(dir, &rec))
             .start_online(
                 rec.keyset.clone(),
                 move |ks| registry.build("btree", ks),
@@ -2219,10 +2233,9 @@ mod tests {
             .unwrap()
             .is_applied());
         resumed.shutdown();
-        let rec2 = crate::durability::recover(&dir).unwrap();
+        let rec2 = crate::durability::recover(dir).unwrap();
         assert!(rec2.keyset.contains(99_999_999));
         assert!(rec2.last_lsn > rec.last_lsn, "resumed LSNs must advance");
-        std::fs::remove_dir_all(&dir).unwrap();
     }
 
     /// A storage kill (`crash_after_append` at p=1) is NOT a writer
@@ -2232,13 +2245,14 @@ mod tests {
     #[test]
     fn storage_kill_closes_write_plane_without_restart() {
         use crate::fault::FaultConfig;
-        let dir = scratch_dir("kill");
+        let scratch = ScratchDir::new("server-kill").unwrap();
+        let dir = scratch.path();
         let domain = lis_core::keys::KeyDomain::new(0, 100_000_000).unwrap();
         let ks = KeySet::new((0..400u64).map(|i| i * 7 + 3).collect(), domain).unwrap();
         let registry = IndexRegistry::with_defaults();
         let faults = FaultInjector::seeded(FaultConfig::new(0xD0D0).crash_after_append(1.0));
         let server = Server::builder(ServeConfig::offline().workers(1).write_batch(4))
-            .durability(Durability::dir(&dir))
+            .durability(Durability::dir(dir))
             .faults(faults)
             .start_online(
                 ks.clone(),
@@ -2258,10 +2272,9 @@ mod tests {
         // The kill fired *after* the append: the un-acked write is on
         // disk. Recovery holding writes the client saw fail is
         // legitimate; the reverse direction (acked but lost) never is.
-        let rec = crate::durability::recover(&dir).unwrap();
+        let rec = crate::durability::recover(dir).unwrap();
         assert!(rec.keyset.contains(11), "appended batch lost");
         let report = server.shutdown();
         assert_eq!(report.writer_restarts, 0, "kill must not restart");
-        std::fs::remove_dir_all(&dir).unwrap();
     }
 }

@@ -9,17 +9,18 @@
 //! [`crate::epoch`] and `Server::start_online`.
 //!
 //! Admission control is where online defenses plug in: a policy sees every
-//! candidate write together with its source id and the *current*
-//! authoritative keyset, and either admits it or names the filter that
-//! rejected it. Concrete filters (per-source rate limiting, streaming
-//! density screens) live in `lis_defense::admission`; this module defines
-//! only the trait, the pass-through [`AdmitAll`], and the first-reject-wins
-//! [`AdmissionChain`], so the server carries no dependency on the defense
-//! crate.
+//! candidate write together with its source id and a [`KeyView`] of the
+//! *current* authoritative keyset — every earlier accepted write
+//! included, those of its own batch too — and either admits it or names
+//! the filter that rejected it. Concrete filters (per-source rate
+//! limiting, streaming density screens) live in `lis_defense::admission`;
+//! this module defines only the trait, the pass-through [`AdmitAll`], and
+//! the first-reject-wins [`AdmissionChain`], so the server carries no
+//! dependency on the defense crate.
 
 use crate::server::ResponseSlot;
 use lis_core::error::Result;
-use lis_core::keys::{Key, KeySet};
+use lis_core::keys::{Key, KeyView};
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -133,12 +134,17 @@ pub enum Admission {
 /// rate limiting, envelope checks, and density screens. Policies are
 /// stateful (`&mut self`): one policy instance sees the whole write stream
 /// in admission order.
+///
+/// The keyset arrives as a [`KeyView`] because the writer merges a batch
+/// into its key array once, after the batch's last verdict: the view is
+/// the array plus every write accepted so far, so a verdict never depends
+/// on where the batch boundaries fell. A `&KeySet` coerces to the view.
 pub trait AdmissionPolicy: Send {
     /// Short display name (used in reports and rejection reasons).
     fn name(&self) -> &str;
 
     /// Decides one write against the current authoritative keyset.
-    fn admit(&mut self, op: &WriteOp, source: u64, keyset: &KeySet) -> Admission;
+    fn admit(&mut self, op: &WriteOp, source: u64, keyset: &dyn KeyView) -> Admission;
 }
 
 /// The no-defense policy: every validated write is admitted.
@@ -150,7 +156,7 @@ impl AdmissionPolicy for AdmitAll {
         "admit-all"
     }
 
-    fn admit(&mut self, _op: &WriteOp, _source: u64, _keyset: &KeySet) -> Admission {
+    fn admit(&mut self, _op: &WriteOp, _source: u64, _keyset: &dyn KeyView) -> Admission {
         Admission::Admit
     }
 }
@@ -191,7 +197,7 @@ impl AdmissionPolicy for AdmissionChain {
         "chain"
     }
 
-    fn admit(&mut self, op: &WriteOp, source: u64, keyset: &KeySet) -> Admission {
+    fn admit(&mut self, op: &WriteOp, source: u64, keyset: &dyn KeyView) -> Admission {
         for filter in &mut self.filters {
             if let Admission::Reject(by) = filter.admit(op, source, keyset) {
                 return Admission::Reject(by);
@@ -241,6 +247,7 @@ pub trait RollbackPolicy: Send {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use lis_core::keys::KeySet;
 
     struct RejectOver(Key);
 
@@ -249,7 +256,7 @@ mod tests {
             "reject-over"
         }
 
-        fn admit(&mut self, op: &WriteOp, _source: u64, _keyset: &KeySet) -> Admission {
+        fn admit(&mut self, op: &WriteOp, _source: u64, _keyset: &dyn KeyView) -> Admission {
             if op.key() > self.0 {
                 Admission::Reject("reject-over".into())
             } else {

@@ -181,11 +181,10 @@ mod tests {
 
     #[test]
     fn write_csv_creates_file() {
-        let dir = std::env::temp_dir().join("lis_export_test");
-        let path = table().write_csv_in(&dir).unwrap();
+        let dir = lis_core::scratch::ScratchDir::new("export").unwrap();
+        let path = table().write_csv_in(&dir.path().join("nested")).unwrap();
         let content = fs::read_to_string(&path).unwrap();
         assert!(content.starts_with("a,bbbb,c"));
-        let _ = fs::remove_dir_all(&dir);
     }
 
     #[test]

@@ -944,6 +944,7 @@ fn cmd_pipeline(flags: &Flags) -> Result<(), String> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use lis::core::scratch::ScratchDir;
 
     fn s(v: &[&str]) -> Vec<String> {
         v.iter().map(|x| x.to_string()).collect()
@@ -976,9 +977,8 @@ mod tests {
 
     #[test]
     fn generate_and_roundtrip_via_file() {
-        let dir = std::env::temp_dir().join("lis_cli_test");
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("keys.txt").to_string_lossy().to_string();
+        let dir = ScratchDir::new("cli").unwrap();
+        let path = dir.path().join("keys.txt").to_string_lossy().to_string();
         let mut flags = Flags::new();
         flags.insert("keys".into(), "50".into());
         flags.insert("out".into(), path.clone());
@@ -988,7 +988,6 @@ mod tests {
         in_flags.insert("in".into(), path);
         let ks = load_or_generate(&in_flags).unwrap();
         assert_eq!(ks.len(), 50);
-        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]
@@ -1033,9 +1032,12 @@ mod tests {
 
     #[test]
     fn serve_online_writes_json_report() {
-        let dir = std::env::temp_dir().join("lis_cli_online_test");
-        std::fs::create_dir_all(&dir).unwrap();
-        let out = dir.join("BENCH_online.json").to_string_lossy().to_string();
+        let dir = ScratchDir::new("cli-online").unwrap();
+        let out = dir
+            .path()
+            .join("BENCH_online.json")
+            .to_string_lossy()
+            .to_string();
         let mut flags = Flags::new();
         flags.insert("keys".into(), "3000".into());
         flags.insert("benign-writes".into(), "60".into());
@@ -1048,14 +1050,16 @@ mod tests {
         assert!(json.contains("\"bench\": \"online_serving\""));
         assert!(json.contains("\"name\": \"undefended\""));
         assert!(json.contains("\"name\": \"defended:density\""));
-        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]
     fn chaos_command_runs_one_rung_and_writes_json() {
-        let dir = std::env::temp_dir().join("lis_cli_chaos_test");
-        std::fs::create_dir_all(&dir).unwrap();
-        let out = dir.join("BENCH_chaos.json").to_string_lossy().to_string();
+        let dir = ScratchDir::new("cli-chaos").unwrap();
+        let out = dir
+            .path()
+            .join("BENCH_chaos.json")
+            .to_string_lossy()
+            .to_string();
         let mut flags = Flags::new();
         flags.insert("keys".into(), "3000".into());
         flags.insert("requests".into(), "800".into());
@@ -1068,7 +1072,6 @@ mod tests {
         let json = std::fs::read_to_string(&out).unwrap();
         assert!(json.contains("\"bench\": \"chaos\""));
         assert!(json.contains("\"name\": \"worker-panic\""));
-        let _ = std::fs::remove_dir_all(&dir);
 
         flags.insert("scenario".into(), "nope".into());
         assert!(cmd_chaos(&flags).is_err());
@@ -1076,9 +1079,9 @@ mod tests {
 
     #[test]
     fn durability_command_runs_the_grid_and_writes_json() {
-        let dir = std::env::temp_dir().join("lis_cli_durability_test");
-        std::fs::create_dir_all(&dir).unwrap();
+        let dir = ScratchDir::new("cli-durability").unwrap();
         let out = dir
+            .path()
             .join("BENCH_durability.json")
             .to_string_lossy()
             .to_string();
@@ -1093,14 +1096,16 @@ mod tests {
         assert!(json.contains("\"bench\": \"durability\""));
         assert!(json.contains("\"name\": \"kill\""));
         assert!(json.contains("\"recovered_matches_live\": true"));
-        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]
     fn bench_hotpath_writes_json_baseline() {
-        let dir = std::env::temp_dir().join("lis_cli_hotpath_test");
-        std::fs::create_dir_all(&dir).unwrap();
-        let out = dir.join("BENCH_hotpath.json").to_string_lossy().to_string();
+        let dir = ScratchDir::new("cli-hotpath").unwrap();
+        let out = dir
+            .path()
+            .join("BENCH_hotpath.json")
+            .to_string_lossy()
+            .to_string();
         let mut flags = Flags::new();
         flags.insert("keys".into(), "3000".into());
         flags.insert("batch".into(), "256".into());
@@ -1111,7 +1116,6 @@ mod tests {
         let json = std::fs::read_to_string(&out).unwrap();
         assert!(json.contains("\"bench\": \"hotpath\""));
         assert_eq!(json.matches("\"index\"").count(), 4);
-        let _ = std::fs::remove_dir_all(&dir);
 
         flags.insert("index".into(), " ".into());
         assert!(cmd_bench_hotpath(&flags).is_err());
@@ -1119,9 +1123,12 @@ mod tests {
 
     #[test]
     fn bench_build_writes_json_baseline() {
-        let dir = std::env::temp_dir().join("lis_cli_buildpath_test");
-        std::fs::create_dir_all(&dir).unwrap();
-        let out = dir.join("BENCH_build.json").to_string_lossy().to_string();
+        let dir = ScratchDir::new("cli-buildpath").unwrap();
+        let out = dir
+            .path()
+            .join("BENCH_build.json")
+            .to_string_lossy()
+            .to_string();
         let mut flags = Flags::new();
         flags.insert("keys".into(), "6000".into());
         flags.insert("rounds".into(), "1".into());
@@ -1133,7 +1140,6 @@ mod tests {
         assert!(json.contains("\"bench\": \"buildpath\""));
         assert!(json.contains("\"build_speedup\""));
         assert!(json.contains("\"marginal_ns_per_point\""));
-        let _ = std::fs::remove_dir_all(&dir);
 
         flags.insert("index".into(), " ".into());
         assert!(cmd_bench_build(&flags).is_err());

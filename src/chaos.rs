@@ -41,6 +41,7 @@
 use lis_core::error::{LisError, Result};
 use lis_core::index::IndexRegistry;
 use lis_core::keys::{Key, KeySet};
+use lis_core::scratch::ScratchDir;
 use lis_defense::CostDriftMonitor;
 use lis_online::{run_campaign, Campaign, CampaignConfig};
 use lis_server::fault::FaultConfig;
@@ -662,17 +663,6 @@ fn faults_for(scenario: &str, seed: u64) -> FaultInjector {
     }
 }
 
-/// A fresh scratch directory for one durable scenario, unique per
-/// process and seed so parallel test runs never collide.
-fn chaos_dir(seed: u64, scenario: &str) -> std::path::PathBuf {
-    let dir = std::env::temp_dir().join(format!(
-        "lis-chaos-{}-{seed:016x}-{scenario}",
-        std::process::id()
-    ));
-    let _ = std::fs::remove_dir_all(&dir);
-    dir
-}
-
 /// Runs one scenario end to end. See the module docs for the phases.
 fn run_scenario(scenario: &str, cfg: &ChaosConfig) -> Result<ChaosScenarioReport> {
     if matches!(scenario, "kill-recover" | "torn-tail") {
@@ -874,7 +864,8 @@ fn run_durable_scenario(scenario: &str, cfg: &ChaosConfig) -> Result<ChaosScenar
     let mut rng = trial_rng(cfg.seed, 17);
     let ks = uniform_keys(&mut rng, cfg.keys, domain)?;
     let (probes, expected) = probe_stream(&ks, cfg.requests, cfg.seed);
-    let dir = chaos_dir(cfg.seed, scenario);
+    let scratch = ScratchDir::new(&format!("chaos-{scenario}"))?;
+    let dir = scratch.path();
     let faults = faults_for(scenario, cfg.seed);
     let serve_cfg = ServeConfig::new()
         .workers(cfg.workers)
@@ -887,7 +878,7 @@ fn run_durable_scenario(scenario: &str, cfg: &ChaosConfig) -> Result<ChaosScenar
     let registry = IndexRegistry::with_defaults();
     let server = Server::builder(serve_cfg)
         .faults(faults.clone())
-        .durability(Durability::dir(&dir).snapshot_every((cfg.writes as u64 / 4).max(8)))
+        .durability(Durability::dir(dir).snapshot_every((cfg.writes as u64 / 4).max(8)))
         .start_online(
             ks.clone(),
             move |k| registry.build(&index_name, k),
@@ -912,13 +903,13 @@ fn run_durable_scenario(scenario: &str, cfg: &ChaosConfig) -> Result<ChaosScenar
     // Recovery. The determinism re-check runs *before* the resumed
     // server bootstraps (bootstrap checkpoints and truncates the WAL).
     let started = Instant::now();
-    let rec = lis_server::recover(&dir)?;
-    let rec_again = lis_server::recover(&dir)?;
+    let rec = lis_server::recover(dir)?;
+    let rec_again = lis_server::recover(dir)?;
     let deterministic = rec.keyset.keys() == rec_again.keyset.keys();
     let index_name = cfg.index.clone();
     let registry = IndexRegistry::with_defaults();
     let resumed = Server::builder(serve_cfg)
-        .durability(Durability::resume(&dir, &rec))
+        .durability(Durability::resume(dir, &rec))
         .start_online(
             rec.keyset.clone(),
             move |k| registry.build(&index_name, k),
@@ -951,14 +942,14 @@ fn run_durable_scenario(scenario: &str, cfg: &ChaosConfig) -> Result<ChaosScenar
         // damage (with ≥ 2 records the first flip is mid-log — the
         // deterministic refusal path, any seed).
         resumed.shutdown();
-        let rec2 = lis_server::recover(&dir)?;
+        let rec2 = lis_server::recover(dir)?;
         let flip_faults =
             FaultInjector::seeded(FaultConfig::new(cfg.seed ^ scenario.len() as u64).bit_flip(1.0));
         let index_name = cfg.index.clone();
         let registry = IndexRegistry::with_defaults();
         let flipped = Server::builder(serve_cfg)
             .faults(flip_faults)
-            .durability(Durability::resume(&dir, &rec2))
+            .durability(Durability::resume(dir, &rec2))
             .start_online(
                 rec2.keyset.clone(),
                 move |k| registry.build(&index_name, k),
@@ -974,12 +965,12 @@ fn run_durable_scenario(scenario: &str, cfg: &ChaosConfig) -> Result<ChaosScenar
                 flip_acked.push(key);
             }
         }
-        corruption_detected = matches!(lis_server::recover(&dir), Err(LisError::Corruption { .. }));
+        corruption_detected = matches!(lis_server::recover(dir), Err(LisError::Corruption { .. }));
         // A clean shutdown checkpoints the authoritative keyset past the
         // damaged log; the directory must be recoverable again, acked
         // flips included.
         flipped.shutdown();
-        let after = lis_server::recover(&dir)?;
+        let after = lis_server::recover(dir)?;
         let flips_survive = flip_acked.iter().all(|&k| after.keyset.contains(k));
         let tail_intact = rec2.keyset.keys().iter().all(|&k| after.keyset.contains(k));
         let exact = after.keyset.len() == rec2.keyset.len() + flip_acked.len();

@@ -23,6 +23,7 @@
 use lis_core::error::Result;
 use lis_core::index::IndexRegistry;
 use lis_core::keys::{Key, KeySet};
+use lis_core::scratch::ScratchDir;
 use lis_server::fault::FaultConfig;
 use lis_server::{
     AdmitAll, Durability, DurabilityLevel, FaultInjector, Server, WriteOp, WriteStatus,
@@ -227,16 +228,6 @@ impl DurabilityReport {
     }
 }
 
-/// A fresh scratch directory for one cell.
-fn cell_dir(seed: u64, cell: &str) -> std::path::PathBuf {
-    let dir = std::env::temp_dir().join(format!(
-        "lis-durability-bench-{}-{seed:016x}-{cell}",
-        std::process::id()
-    ));
-    let _ = std::fs::remove_dir_all(&dir);
-    dir
-}
-
 /// Waits until the durable directory stops changing. Acks precede the
 /// WAL append but the *checkpoint* cadence runs after them, so right
 /// after the last ack the writer may still be mid-snapshot (tmp write →
@@ -302,7 +293,8 @@ fn run_cell(
     ks: &KeySet,
     cfg: &DurabilityBenchConfig,
 ) -> Result<DurabilityCellReport> {
-    let dir = cell_dir(cfg.seed, name);
+    let scratch = ScratchDir::new(&format!("durability-bench-{name}"))?;
+    let dir = scratch.path();
     let faults = if kill {
         // Sequential drive, one flush per write: a low per-flush
         // probability lands the kill mid-load with a meaty acked prefix.
@@ -321,7 +313,7 @@ fn run_cell(
     )
     .faults(faults)
     .durability(
-        Durability::dir(&dir)
+        Durability::dir(dir)
             .level(level)
             // 2/5 of the drive: two checkpoints engage mid-run and a
             // ~writes/5 WAL tail is left for the replay measurement (a
@@ -384,14 +376,14 @@ fn run_cell(
     // checkpoint would truncate the WAL and zero the replay being
     // measured. (The kill cell's write plane is already dead; its WAL
     // tail is exactly what the kill left behind.)
-    quiesce(&dir);
+    quiesce(dir);
     let wal_bytes = std::fs::metadata(dir.join("wal.log"))
         .map(|m| m.len())
         .unwrap_or(0);
     let recover_started = Instant::now();
-    let rec = lis_server::recover(&dir)?;
+    let rec = lis_server::recover(dir)?;
     let recover_ms = recover_started.elapsed().as_secs_f64() * 1_000.0;
-    let rec_again = lis_server::recover(&dir)?;
+    let rec_again = lis_server::recover(dir)?;
 
     let submitted_set: BTreeSet<Key> = keys.iter().copied().collect();
     let lost_acked = acked.iter().filter(|&&k| !rec.keyset.contains(k)).count();
@@ -403,7 +395,6 @@ fn run_cell(
             .iter()
             .all(|&k| ks.contains(k) || submitted_set.contains(&k));
     let _ = server.shutdown();
-    let _ = std::fs::remove_dir_all(&dir);
     Ok(DurabilityCellReport {
         name: name.to_string(),
         writes_submitted: submitted,
