@@ -14,7 +14,8 @@
 //!   `lis_core::par` (the sanctioned fan-out home), the server's
 //!   worker/writer entry points, and the `lis_check` scheduler runtime.
 //! * **`condvar-predicate`** — every `Condvar::wait`/`wait_timeout`
-//!   (direct or through the server's sync facade helpers) sits inside a
+//!   (direct, through the server's sync facade helpers, or on its
+//!   `Signal`) sits inside a
 //!   `while`/`loop` predicate loop, so a spurious or early wake re-checks
 //!   its condition instead of proceeding on stale state.
 //! * **`serve-no-panic`** — no `unwrap`/`expect`/`panic!` family calls in
@@ -36,6 +37,12 @@
 //!   `durability.rs`) outside test modules: each is an `O(n)` array shift
 //!   per write, where staging the batch (`Stage`) and one
 //!   `KeySet::commit` pay it once per epoch or replay.
+//! * **`wake-through-signal`** — in the non-test code of the request
+//!   path's files (`crates/server/src/{queue,server,write}.rs`), every
+//!   `.notify_one()`/`.notify_all()` is called on a field or binding
+//!   declared as `Signal`, the serving plane's condvar that wakes only
+//!   parked threads: a bare `Condvar` notify is a system call per request
+//!   whether or not anyone waits.
 //! * **`registry-complete`** — every `impl LearnedIndex for T` in
 //!   `lis-core` has its type constructed in
 //!   `IndexRegistry::with_defaults`, so new structures are reachable by
@@ -90,7 +97,7 @@ pub struct AnalysisReport {
 }
 
 /// The rule slugs this pass enforces, in report order.
-pub const RULES: [&str; 9] = [
+pub const RULES: [&str; 10] = [
     "zero-alloc",
     "thread-discipline",
     "condvar-predicate",
@@ -98,6 +105,7 @@ pub const RULES: [&str; 9] = [
     "ticket-definite-outcome",
     "durability-ack-order",
     "writer-batch-apply",
+    "wake-through-signal",
     "registry-complete",
     "forbid-unsafe",
 ];
@@ -288,6 +296,38 @@ fn call_args_in(code: &str, open: usize, min_args: usize, max_args: usize) -> bo
     true
 }
 
+/// The identifier that ends `text` (empty when `text` ends in anything
+/// else, such as the `)` of a call whose result is the receiver).
+fn trailing_ident(text: &str) -> &str {
+    let start = text
+        .char_indices()
+        .rev()
+        .take_while(|(_, c)| c.is_alphanumeric() || *c == '_')
+        .last()
+        .map_or(text.len(), |(i, _)| i);
+    &text[start..]
+}
+
+/// Names a file's non-test code declares with type `Signal` or `&Signal`
+/// (struct fields, parameters, annotated bindings).
+fn signal_names(scan: &FileScan) -> Vec<&str> {
+    scan.lines()
+        .iter()
+        .filter(|line| !line.in_test)
+        .flat_map(|line| {
+            line.code
+                .match_indices("Signal")
+                .map(|(at, _)| &line.code[..at])
+        })
+        .filter_map(|before| {
+            let before = before.trim_end().trim_end_matches('&').trim_end();
+            before.strip_suffix(':')
+        })
+        .map(|declared| trailing_ident(declared.trim_end()))
+        .filter(|name| !name.is_empty())
+        .collect()
+}
+
 /// Runs the whole lint suite over the workspace at `root`.
 pub fn analyze(root: &Path) -> AnalysisReport {
     let files = workspace_sources(root);
@@ -363,12 +403,47 @@ fn run_line_rules(
         relpath,
         "crates/server/src/server.rs" | "crates/server/src/durability.rs"
     );
+    let signals = if matches!(
+        relpath,
+        "crates/server/src/queue.rs" | "crates/server/src/server.rs" | "crates/server/src/write.rs"
+    ) {
+        Some(signal_names(scan))
+    } else {
+        None
+    };
     for line in scan.lines() {
         if line.in_test {
             continue;
         }
         let code = line.code.as_str();
         let lineno = line.number;
+
+        // wake-through-signal: request-path wake sites go through
+        // `Signal`, which skips the system call when nobody is parked.
+        if let Some(signals) = &signals {
+            for pat in [".notify_one(", ".notify_all("] {
+                let Some(at) = code.find(pat) else {
+                    continue;
+                };
+                let receiver = trailing_ident(&code[..at]);
+                if !signals.contains(&receiver) {
+                    push_violation(
+                        scan,
+                        violations,
+                        allowed,
+                        "wake-through-signal",
+                        relpath,
+                        lineno,
+                        format!(
+                            "`{pat})` on `{receiver}`, which this file does not declare as a \
+                             `Signal` — a bare condvar notify enters the kernel on every \
+                             request whether or not a thread is parked"
+                        ),
+                    );
+                    break;
+                }
+            }
+        }
 
         // zero-alloc: allocation-capable calls inside declared zones.
         if line.in_zero_alloc_zone {

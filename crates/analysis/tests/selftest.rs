@@ -100,6 +100,39 @@ mod tests {
 }
 "#;
 
+/// A request-path wake site on a bare `Condvar` beside compliant ones on
+/// `Signal`s, a `Signal` wait outside a predicate loop, and a test module
+/// whose notifies are exempt.
+const VIOLATING_WAKE_FILE: &str = r#"
+pub struct Queue {
+    not_empty: Condvar,
+    not_full: Signal,
+}
+
+impl Queue {
+    pub fn push(&self) {
+        self.not_empty.notify_one();
+    }
+
+    pub fn pop(&self, done: &Signal) {
+        self.not_full.notify_all();
+        done.notify_one();
+    }
+
+    pub fn park_once(&self, guard: Guard) -> Guard {
+        self.not_full.wait(guard)
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    #[test]
+    fn test_notifies_are_exempt() {
+        cv.notify_all();
+    }
+}
+"#;
+
 #[test]
 fn violating_tree_trips_every_rule() {
     let root = scratch_root("violating");
@@ -123,6 +156,10 @@ fn violating_tree_trips_every_rule() {
         "crates/server/src/elsewhere.rs",
         VIOLATING_APPLY_FILE,
     );
+    write(&root, "crates/server/src/queue.rs", VIOLATING_WAKE_FILE);
+    // Off the request path (the worker pool's condvars) a bare notify is
+    // not the rule's business.
+    write(&root, "crates/server/src/pool.rs", VIOLATING_WAKE_FILE);
     write(
         &root,
         "crates/core/src/index.rs",
@@ -210,6 +247,27 @@ fn violating_tree_trips_every_rule() {
         })
         .collect();
     assert_eq!(applies, vec![4, 5, 7]);
+
+    // Only the bare-condvar notify on the request path is flagged: not the
+    // two `Signal` ones, the test module's, or the other file's.
+    let wakes: Vec<(&str, usize)> = report
+        .violations
+        .iter()
+        .filter(|v| v.rule == "wake-through-signal")
+        .map(|v| (v.file.as_str(), v.line))
+        .collect();
+    assert_eq!(wakes.len(), 1, "{wakes:?}");
+    assert!(wakes[0].0.ends_with("server/src/queue.rs") && wakes[0].1 == 9);
+    // A `Signal` wait needs its predicate loop like any condvar wait.
+    assert!(
+        report
+            .violations
+            .iter()
+            .any(|v| v.rule == "condvar-predicate"
+                && v.file.ends_with("server/src/queue.rs")
+                && v.line == 18),
+        "signal.wait(guard) outside a loop must be flagged"
+    );
 
     // The orphan index type is flagged; the registered one is not.
     let registry: Vec<&str> = report

@@ -418,6 +418,13 @@ mod instrumented {
                 self.yield_op("fetch_add");
                 self.inner.fetch_add(value, order)
             }
+
+            /// Atomic subtract returning the previous value (yield point
+            /// under the model).
+            pub fn fetch_sub(&self, value: usize, order: Ordering) -> usize {
+                self.yield_op("fetch_sub");
+                self.inner.fetch_sub(value, order)
+            }
         }
     }
 }

@@ -5,7 +5,7 @@
 //! closure here is a mutant of a correct pattern used on the serve path.
 #![cfg(feature = "check")]
 
-use lis_check::sync::atomic::{AtomicU64, Ordering};
+use lis_check::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use lis_check::sync::{Arc, Condvar, Mutex};
 use lis_check::{thread, try_check, CheckConfig};
 use std::time::Duration;
@@ -179,6 +179,68 @@ fn predicate_loop_fixes_the_lost_wakeup() {
         t.join().unwrap();
     })
     .expect("predicate loop must pass");
+}
+
+/// The serving plane's `Signal` in miniature: a waiter counts itself as
+/// parked while it still holds the predicate's mutex, and the notifier
+/// wakes only when that count is non-zero. The notifier must read the
+/// count *after* it changed the predicate under the mutex; the mutant
+/// reads it before taking the lock.
+fn wake_only_the_parked(read_count_before_lock: bool) {
+    let shared = Arc::new((Mutex::new(false), Condvar::new(), AtomicUsize::new(0)));
+    let s2 = Arc::clone(&shared);
+    let notifier = thread::spawn(move || {
+        let (lock, cv, parked) = &*s2;
+        let stale = parked.load(Ordering::SeqCst);
+        *lock.lock().unwrap() = true;
+        let seen = if read_count_before_lock {
+            // BUG: a waiter may lock, count itself and park between the
+            // load above and the store, and is then never woken.
+            stale
+        } else {
+            parked.load(Ordering::SeqCst)
+        };
+        if seen > 0 {
+            cv.notify_one();
+        }
+    });
+    let (lock, cv, parked) = &*shared;
+    let mut ready = lock.lock().unwrap();
+    while !*ready {
+        parked.fetch_add(1, Ordering::SeqCst);
+        ready = cv.wait(ready).unwrap();
+        parked.fetch_sub(1, Ordering::SeqCst);
+    }
+    drop(ready);
+    notifier.join().unwrap();
+}
+
+#[test]
+fn mutation_parked_count_read_before_the_lock_is_caught_as_lost_wakeup() {
+    let failure = try_check("stale-parked-count", cfg(500), || {
+        wake_only_the_parked(true)
+    })
+    .expect_err("the skipped wake-up must be found");
+    assert!(failure.message.contains("deadlock"), "{}", failure.message);
+    assert!(
+        failure.message.contains("parked in Condvar#"),
+        "expected a stranded waiter, got: {}",
+        failure.message
+    );
+    assert!(
+        failure.message.contains("lost-wakeup analysis"),
+        "{}",
+        failure.message
+    );
+}
+
+#[test]
+fn parked_count_read_after_the_store_never_strands() {
+    // The repaired twin: the waiter's increment happens under the mutex,
+    // so a notifier that reads the count after its own critical section
+    // either sees it or the waiter saw the new predicate and never parked.
+    try_check("parked-count", cfg(500), || wake_only_the_parked(false))
+        .expect("wake-only-the-parked must never strand the waiter");
 }
 
 #[test]

@@ -9,10 +9,12 @@
 //! instantly and lookups amortize the per-batch dispatch; under trickle
 //! traffic, the deadline bounds how long any request waits for company.
 //!
-//! Built on `Mutex` + `Condvar` only — the workspace carries no external
-//! concurrency dependency.
+//! Built on `Mutex` + `Signal` (the serving plane's condvar, which wakes
+//! only parked threads) — the workspace carries no external concurrency
+//! dependency. A push or a pop therefore enters the kernel only when a
+//! thread is actually parked on the other side.
 
-use crate::sync::{lock, wait, wait_timeout, Condvar, Mutex};
+use crate::sync::{lock, Mutex, Signal};
 use std::collections::VecDeque;
 use std::time::{Duration, Instant};
 
@@ -45,8 +47,8 @@ pub enum PopTick {
 /// A bounded multi-producer queue drained in micro-batches.
 pub struct BatchQueue<T> {
     state: Mutex<State<T>>,
-    not_empty: Condvar,
-    not_full: Condvar,
+    not_empty: Signal,
+    not_full: Signal,
     capacity: usize,
 }
 
@@ -58,8 +60,8 @@ impl<T> BatchQueue<T> {
                 items: VecDeque::new(),
                 closed: false,
             }),
-            not_empty: Condvar::new(),
-            not_full: Condvar::new(),
+            not_empty: Signal::new(),
+            not_full: Signal::new(),
             capacity: capacity.max(1),
         }
     }
@@ -85,7 +87,7 @@ impl<T> BatchQueue<T> {
             if state.items.len() < self.capacity {
                 break;
             }
-            state = wait(&self.not_full, state);
+            state = self.not_full.wait(state);
         }
         state.items.push_back(item);
         drop(state);
@@ -162,13 +164,13 @@ impl<T> BatchQueue<T> {
                     // the tick elapsing, and under `lis_check` the
                     // timeout is a scheduler choice — re-checking the
                     // wall clock there livelocks.
-                    let (guard, timeout) = wait_timeout(&self.not_empty, state, at - now);
+                    let (guard, timeout) = self.not_empty.wait_timeout(state, at - now);
                     state = guard;
                     if timeout.timed_out() && state.items.is_empty() && !state.closed {
                         return PopTick::Idle;
                     }
                 }
-                None => state = wait(&self.not_empty, state),
+                None => state = self.not_empty.wait(state),
             }
         }
         let flush_at = Instant::now() + policy.deadline;
@@ -201,19 +203,20 @@ impl<T> BatchQueue<T> {
                 undrained_wakeup = 0;
                 self.not_full.notify_all();
             }
-            let (guard, timeout) = wait_timeout(&self.not_empty, state, flush_at - now);
+            let (guard, timeout) = self.not_empty.wait_timeout(state, flush_at - now);
             state = guard;
             if timeout.timed_out() && state.items.is_empty() {
                 break;
             }
         }
+        // Another worker may be parked on `not_empty` for requests that
+        // arrived while we held the lock; wake one if anything remains.
+        let items_remain = !state.items.is_empty();
         drop(state);
         if undrained_wakeup > 0 {
             self.not_full.notify_all();
         }
-        // Another worker may be blocked on `not_empty` for requests that
-        // arrived while we held the lock; wake one if anything remains.
-        if !self.is_empty() {
+        if items_remain {
             self.not_empty.notify_one();
         }
         PopTick::Batch
@@ -452,6 +455,55 @@ mod tests {
                 "trial {trial}: an accepted item was stranded or duplicated"
             );
         }
+    }
+
+    #[test]
+    fn traffic_nobody_waits_on_issues_no_wake() {
+        let q = BatchQueue::new(1_000);
+        for i in 0..1_000 {
+            q.push(i).unwrap();
+        }
+        let mut batch = Vec::new();
+        let mut drained = 0;
+        // Every pop but the last leaves items behind: the "items remain"
+        // check must not wake anyone either.
+        while drained < 1_000 {
+            assert!(q.pop_batch_into(policy(64, 0), &mut batch));
+            drained += batch.len();
+        }
+        assert_eq!(q.not_empty.wakes_issued(), 0);
+        assert_eq!(q.not_full.wakes_issued(), 0);
+    }
+
+    #[test]
+    fn parked_consumer_gets_exactly_one_wake() {
+        let q = Arc::new(BatchQueue::new(8));
+        let consumer = {
+            let q = Arc::clone(&q);
+            std::thread::spawn(move || q.pop_batch(policy(1, 0)))
+        };
+        drop(q.not_empty.await_parked(&q.state));
+        q.push(7).unwrap();
+        assert_eq!(consumer.join().unwrap(), Some(vec![7]));
+        assert_eq!(q.not_empty.wakes_issued(), 1);
+        assert_eq!(q.not_full.wakes_issued(), 0);
+    }
+
+    #[test]
+    fn parked_producer_gets_exactly_one_wake() {
+        let q = Arc::new(BatchQueue::new(1));
+        q.push(0).unwrap();
+        let producer = {
+            let q = Arc::clone(&q);
+            std::thread::spawn(move || q.push(1))
+        };
+        drop(q.not_full.await_parked(&q.state));
+        assert_eq!(q.pop_batch(policy(1, 0)), Some(vec![0]));
+        producer.join().unwrap().unwrap();
+        assert_eq!(q.not_full.wakes_issued(), 1);
+        // Nobody was parked on `not_empty` when either push landed.
+        assert_eq!(q.not_empty.wakes_issued(), 0);
+        assert_eq!(q.pop_batch(policy(1, 0)), Some(vec![1]));
     }
 
     #[test]
@@ -732,5 +784,118 @@ mod model_tests {
             assert_eq!(seen, vec![1, 2], "drained batch accounting is off");
         })
         .expect("deadline waits must be safe against close");
+    }
+
+    /// A producer pushing into a full queue races the pop that makes
+    /// room: on schedules where it has not parked yet the pop skips the
+    /// `not_full` wake-up, and the producer must then see the free slot
+    /// itself. No schedule strands it.
+    #[test]
+    fn every_pop_schedule_releases_a_producer_on_a_full_queue() {
+        let report = try_check("queue-full-producer-vs-pop", cfg(), || {
+            let q = Arc::new(BatchQueue::new(1));
+            q.push(0u32).unwrap();
+            let producer = {
+                let q = Arc::clone(&q);
+                thread::spawn(move || q.push(1).unwrap())
+            };
+            let policy = BatchPolicy {
+                max_batch: 1,
+                deadline: Duration::ZERO,
+            };
+            let mut batch = Vec::new();
+            assert!(q.pop_batch_into(policy, &mut batch));
+            assert_eq!(batch, vec![0]);
+            assert!(q.pop_batch_into(policy, &mut batch));
+            assert_eq!(batch, vec![1], "the parked producer's item never arrived");
+            producer.join().unwrap();
+            assert_eq!(q.not_full.parked(), 0);
+        })
+        .expect("a pop must release a producer parked on a full queue");
+        assert!(report.distinct >= 2 || report.exhausted);
+    }
+
+    /// Two consumers and a burst larger than `max_batch`: whichever
+    /// consumer drains first leaves items behind while the other may be
+    /// parked, and must hand it the rest. The queue is closed only by
+    /// the consumer that sees the last item, so a stranded item (a
+    /// parked consumer nobody wakes) shows up as a deadlock instead of
+    /// being swept up by `close()`.
+    #[test]
+    fn burst_beyond_max_batch_strands_no_item_with_a_parked_consumer() {
+        try_check("queue-burst-two-consumers", cfg(), || {
+            const BURST: usize = 3;
+            let q = Arc::new(BatchQueue::new(4));
+            let seen = Arc::new(Mutex::new(Vec::new()));
+            let consumers: Vec<_> = (0..2)
+                .map(|_| {
+                    let q = Arc::clone(&q);
+                    let seen = Arc::clone(&seen);
+                    thread::spawn(move || {
+                        let policy = BatchPolicy {
+                            max_batch: 2,
+                            deadline: Duration::ZERO,
+                        };
+                        let mut batch = Vec::new();
+                        while q.pop_batch_into(policy, &mut batch) {
+                            let mut seen = lock(&seen);
+                            seen.append(&mut batch);
+                            if seen.len() == BURST {
+                                q.close();
+                            }
+                        }
+                    })
+                })
+                .collect();
+            for i in 0..BURST {
+                q.push(i).unwrap();
+            }
+            for consumer in consumers {
+                consumer.join().unwrap();
+            }
+            let mut seen = lock(&seen).clone();
+            seen.sort_unstable();
+            assert_eq!(seen, vec![0, 1, 2], "an item was lost or duplicated");
+        })
+        .expect("no item may be stranded while a consumer is parked");
+    }
+
+    /// `close()` with both kinds of waiter parked: a producer on the full
+    /// queue and a consumer in its fill wait (far-future deadline, batch
+    /// cap never reached). Close must wake both, and every accepted item
+    /// is drained exactly once.
+    #[test]
+    fn close_wakes_parked_producer_and_filling_consumer() {
+        try_check("queue-close-wakes-both-kinds", cfg(), || {
+            let q = Arc::new(BatchQueue::new(1));
+            q.push(10u32).unwrap();
+            let producer = {
+                let q = Arc::clone(&q);
+                thread::spawn(move || q.push(11).is_ok())
+            };
+            let consumer = {
+                let q = Arc::clone(&q);
+                thread::spawn(move || {
+                    let policy = BatchPolicy {
+                        max_batch: 8,
+                        deadline: Duration::from_secs(3600),
+                    };
+                    let mut drained = Vec::new();
+                    let mut batch = Vec::new();
+                    while q.pop_batch_into(policy, &mut batch) {
+                        drained.append(&mut batch);
+                    }
+                    drained
+                })
+            };
+            q.close();
+            let accepted = producer.join().unwrap();
+            let drained = consumer.join().unwrap();
+            let expected: Vec<u32> = if accepted { vec![10, 11] } else { vec![10] };
+            assert_eq!(drained, expected, "close stranded or lost an item");
+            assert_eq!(q.not_empty.parked(), 0);
+            assert_eq!(q.not_full.parked(), 0);
+        })
+        .expect("close must wake producers and consumers alike");
     }
 }

@@ -41,7 +41,7 @@ use crate::fault::{FaultInjector, InjectedFault, ProcessKill, RetryPolicy};
 use crate::histogram::LatencyHistogram;
 use crate::queue::{BatchPolicy, BatchQueue, PopTick};
 use crate::sync::atomic::{AtomicU64, Ordering};
-use crate::sync::{lock, wait, wait_timeout, Condvar, Mutex};
+use crate::sync::{lock, Mutex, Signal};
 use crate::write::{
     Admission, AdmissionPolicy, DriftVerdict, RollbackPolicy, WriteOp, WriteRequest, WriteStatus,
     WriteTicket, TRANSIENT_FAILURE_PREFIX,
@@ -175,14 +175,14 @@ impl Default for ServeConfig {
 /// One-shot response slot a worker fulfills and a client waits on.
 pub(crate) struct ResponseSlot<T> {
     result: Mutex<Option<Result<T>>>,
-    ready: Condvar,
+    ready: Signal,
 }
 
 impl<T> ResponseSlot<T> {
     pub(crate) fn new() -> Self {
         Self {
             result: Mutex::new(None),
-            ready: Condvar::new(),
+            ready: Signal::new(),
         }
     }
 
@@ -197,7 +197,7 @@ impl<T> ResponseSlot<T> {
             if let Some(outcome) = guard.take() {
                 return outcome;
             }
-            guard = wait(&self.ready, guard);
+            guard = self.ready.wait(guard);
         }
     }
 
@@ -212,7 +212,7 @@ impl<T> ResponseSlot<T> {
             if now >= deadline {
                 return Err(LisError::Timeout(timeout));
             }
-            guard = wait_timeout(&self.ready, guard, deadline - now).0;
+            guard = self.ready.wait_timeout(guard, deadline - now).0;
         }
     }
 }
@@ -1107,11 +1107,11 @@ fn worker_loop(
         stats.windows[widx].served += batch.len() as u64;
         stats.windows[widx].cost_units += cost as u64;
         drop(stats);
-        let served = batch.len() as u64;
-        for (request, hit) in batch.drain(..).zip(results.iter()) {
-            request.slot.fulfill(Ok(*hit));
-        }
-        shared.served.fetch_add(served, Ordering::Relaxed);
+        // Counted before the acks: a client holding its answer must find
+        // its own request in `stats()` and in the shedding estimate.
+        shared
+            .served
+            .fetch_add(batch.len() as u64, Ordering::Relaxed);
         shared.batches.fetch_add(1, Ordering::Relaxed);
         shared.cost_units.fetch_add(cost as u64, Ordering::Relaxed);
         // Busy time feeds the per-request service-time estimate behind
@@ -1122,6 +1122,9 @@ fn worker_loop(
             done.duration_since(serve_started).as_nanos() as u64,
             Ordering::Relaxed,
         );
+        for (request, hit) in batch.drain(..).zip(results.iter()) {
+            request.slot.fulfill(Ok(*hit));
+        }
     }
 }
 
@@ -1773,6 +1776,48 @@ mod tests {
         assert_eq!(report.served, 300);
     }
 
+    /// The contract behind `stats_snapshot_while_live` and deadline
+    /// shedding, pinned without timing: a request is counted before its
+    /// answer is released, so the client that holds the answer finds it
+    /// in `stats()` and in the service-time estimate.
+    #[test]
+    fn request_is_counted_before_its_answer_is_released() {
+        let (ks, idx) = served_index(64);
+        for _ in 0..32 {
+            let server = Server::start(Arc::clone(&idx), ServeConfig::new().workers(1));
+            let handle = server.handle();
+            for (i, &k) in ks.keys().iter().take(10).enumerate() {
+                assert!(handle.lookup(k).unwrap().found);
+                assert_eq!(server.stats().served, i as u64 + 1);
+                assert!(handle.shared.estimated_wait(1).is_some());
+            }
+            server.shutdown();
+        }
+    }
+
+    #[test]
+    fn fulfilling_tickets_nobody_waits_on_issues_no_wake() {
+        for i in 0..1_000 {
+            let slot = ResponseSlot::new();
+            slot.fulfill(Ok(i));
+            assert_eq!(slot.ready.wakes_issued(), 0);
+            assert_eq!(slot.wait().unwrap(), i);
+        }
+    }
+
+    #[test]
+    fn parked_ticket_holder_gets_exactly_one_wake() {
+        let slot = Arc::new(ResponseSlot::new());
+        let holder = {
+            let slot = Arc::clone(&slot);
+            std::thread::spawn(move || slot.wait())
+        };
+        drop(slot.ready.await_parked(&slot.result));
+        slot.fulfill(Ok(9u32));
+        assert_eq!(holder.join().unwrap().unwrap(), 9);
+        assert_eq!(slot.ready.wakes_issued(), 1);
+    }
+
     #[test]
     fn wait_timeout_gives_up_on_a_stalled_server() {
         use lis_core::index::LearnedIndex;
@@ -2276,5 +2321,97 @@ mod tests {
         assert!(rec.keyset.contains(11), "appended batch lost");
         let report = server.shutdown();
         assert_eq!(report.writer_restarts, 0, "kill must not restart");
+    }
+}
+
+/// Model-checking tests: `lis_check` explores read-ticket waits against
+/// `fulfill` over the real `ResponseSlot`, including the schedules where
+/// the worker skips the wake-up because the holder has not parked yet.
+/// (`crate::write::model_tests` runs the write-ticket twins.)
+#[cfg(all(test, feature = "check"))]
+mod model_tests {
+    use super::*;
+    use lis_check::{thread, try_check, CheckConfig};
+    use std::sync::atomic::{AtomicUsize, Ordering as StdOrdering};
+
+    fn cfg() -> CheckConfig {
+        CheckConfig::new().min_schedules(300)
+    }
+
+    fn ticket_and_slot() -> (ResponseTicket, Arc<ResponseSlot<Lookup>>) {
+        let slot = Arc::new(ResponseSlot::new());
+        let ticket = ResponseTicket {
+            slot: Arc::clone(&slot),
+        };
+        (ticket, slot)
+    }
+
+    #[test]
+    fn read_ticket_wait_is_never_stranded_by_fulfill_order() {
+        try_check("read-ticket-wait", cfg(), || {
+            let (ticket, slot) = ticket_and_slot();
+            let worker = {
+                let slot = Arc::clone(&slot);
+                thread::spawn(move || slot.fulfill(Ok(Lookup::membership(true, 3))))
+            };
+            let hit = ticket.wait().unwrap();
+            assert!(hit.found && hit.cost == 3, "fulfillment lost");
+            worker.join().unwrap();
+            assert_eq!(slot.ready.parked(), 0);
+        })
+        .expect("wait must see the fulfillment under every schedule");
+    }
+
+    /// Zero timeout against a fulfiller: exactly one outcome. When expiry
+    /// wins, the ticket is dropped and the worker's late `fulfill` lands
+    /// on a slot nobody holds — it must find nobody parked and return.
+    #[test]
+    fn read_ticket_expiry_vs_fulfill_resolves_exactly_once() {
+        let fulfilled = Arc::new(AtomicUsize::new(0));
+        let expired = Arc::new(AtomicUsize::new(0));
+        let (f, e) = (Arc::clone(&fulfilled), Arc::clone(&expired));
+        try_check("read-ticket-timeout", cfg(), move || {
+            let (ticket, slot) = ticket_and_slot();
+            let worker = {
+                let slot = Arc::clone(&slot);
+                thread::spawn(move || slot.fulfill(Ok(Lookup::membership(true, 3))))
+            };
+            match ticket.wait_timeout(Duration::ZERO) {
+                Ok(hit) => {
+                    assert!(hit.found);
+                    f.fetch_add(1, StdOrdering::SeqCst);
+                }
+                Err(LisError::Timeout(_)) => {
+                    e.fetch_add(1, StdOrdering::SeqCst);
+                }
+                Err(other) => panic!("expected a hit or Timeout, got {other:?}"),
+            }
+            worker.join().unwrap();
+            assert_eq!(slot.ready.wakes_issued(), 0, "nobody ever parked");
+        })
+        .expect("ticket race must resolve to exactly one outcome");
+        assert!(
+            fulfilled.load(StdOrdering::SeqCst) > 0,
+            "exploration never saw the fulfiller win"
+        );
+        assert!(
+            expired.load(StdOrdering::SeqCst) > 0,
+            "exploration never saw the expiry win"
+        );
+    }
+
+    /// A parked holder whose (far-future) timeout the scheduler fires
+    /// early re-parks, while `fulfill` may read the count on either side
+    /// of that: the answer still arrives under every schedule.
+    #[test]
+    fn read_ticket_timed_wait_rides_out_early_timeouts() {
+        try_check("read-ticket-timed-wait", cfg(), || {
+            let (ticket, slot) = ticket_and_slot();
+            let holder = thread::spawn(move || ticket.wait_timeout(Duration::from_secs(3600)));
+            slot.fulfill(Ok(Lookup::membership(true, 3)));
+            assert!(holder.join().unwrap().unwrap().found, "fulfillment lost");
+            assert_eq!(slot.ready.parked(), 0);
+        })
+        .expect("a timed wait must see the fulfillment under every schedule");
     }
 }
