@@ -43,6 +43,14 @@
 //!   declared as `Signal`, the serving plane's condvar that wakes only
 //!   parked threads: a bare `Condvar` notify is a system call per request
 //!   whether or not anyone waits.
+//! * **`shared-key-array`** — no `.keys().to_vec()` in non-test code of
+//!   the rebuilt-per-epoch victims (`crates/core/src/{rmi,deep_rmi,pla}.rs`):
+//!   an index stores the keyset's array through `KeySet::shared_keys`, so
+//!   a write epoch's rebuild does not copy every key a second time.
+//! * **`scratch-dir`** — no `temp_dir()` anywhere in the workspace, tests
+//!   and benches included, outside `crates/core/src/scratch.rs`: a scratch
+//!   directory comes from `ScratchDir`, unique per call, because two
+//!   fixed names collide under parallel test threads.
 //! * **`registry-complete`** — every `impl LearnedIndex for T` in
 //!   `lis-core` has its type constructed in
 //!   `IndexRegistry::with_defaults`, so new structures are reachable by
@@ -97,7 +105,7 @@ pub struct AnalysisReport {
 }
 
 /// The rule slugs this pass enforces, in report order.
-pub const RULES: [&str; 10] = [
+pub const RULES: [&str; 12] = [
     "zero-alloc",
     "thread-discipline",
     "condvar-predicate",
@@ -106,6 +114,8 @@ pub const RULES: [&str; 10] = [
     "durability-ack-order",
     "writer-batch-apply",
     "wake-through-signal",
+    "shared-key-array",
+    "scratch-dir",
     "registry-complete",
     "forbid-unsafe",
 ];
@@ -179,7 +189,8 @@ fn collect_rs_files(dir: &Path, out: &mut Vec<PathBuf>) {
         let path = entry.path();
         if path.is_dir() {
             let name = path.file_name().and_then(|n| n.to_str()).unwrap_or("");
-            if name == "target" || name == ".git" {
+            // Build output and hidden trees (`.git`, `.bench_build`).
+            if name == "target" || name.starts_with('.') {
                 continue;
             }
             collect_rs_files(&path, out);
@@ -346,6 +357,7 @@ pub fn analyze(root: &Path) -> AnalysisReport {
         run_line_rules(root, &relpath, scan, &mut violations, &mut allowed);
     }
     run_ack_order_rule(root, &scans, &mut violations, &mut allowed);
+    run_scratch_dir_rule(root, &mut violations, &mut allowed);
     run_registry_rule(root, &scans, &mut violations, &mut allowed);
     run_forbid_unsafe_rule(root, &mut violations, &mut allowed);
 
@@ -402,6 +414,10 @@ fn run_line_rules(
     let write_plane = matches!(
         relpath,
         "crates/server/src/server.rs" | "crates/server/src/durability.rs"
+    );
+    let epoch_victim = matches!(
+        relpath,
+        "crates/core/src/rmi.rs" | "crates/core/src/deep_rmi.rs" | "crates/core/src/pla.rs"
     );
     let signals = if matches!(
         relpath,
@@ -578,6 +594,21 @@ fn run_line_rules(
             }
         }
 
+        // shared-key-array: a victim copying the array its keyset shares.
+        if epoch_victim && code.contains(".keys().to_vec()") {
+            push_violation(
+                scan,
+                violations,
+                allowed,
+                "shared-key-array",
+                relpath,
+                lineno,
+                "`.keys().to_vec()` copies every key on every build — store \
+                 `KeySet::shared_keys()` instead"
+                    .to_string(),
+            );
+        }
+
         // serve-no-panic: panicking calls on the serve path.
         if serve_path {
             for pat in [
@@ -652,6 +683,41 @@ fn run_ack_order_rule(
                                  append — the ack is outside the durability contract"
                             .to_string(),
                     },
+                );
+            }
+        }
+    }
+}
+
+/// scratch-dir: `temp_dir()` only inside `ScratchDir`'s own module. Unlike
+/// the line rules this walks every `.rs` file under `root` — `tests/`,
+/// `benches/`, `examples/` and test modules included — because the
+/// directory collisions it prevents were between tests.
+fn run_scratch_dir_rule(root: &Path, violations: &mut Vec<Violation>, allowed: &mut usize) {
+    let mut files = Vec::new();
+    collect_rs_files(root, &mut files);
+    for path in files {
+        let relpath = rel(root, &path);
+        if relpath == "crates/core/src/scratch.rs" {
+            continue;
+        }
+        let Ok(text) = std::fs::read_to_string(&path) else {
+            continue;
+        };
+        let scan = FileScan::new(&text);
+        for line in scan.lines() {
+            if has_token(&line.code, "temp_dir(") {
+                push_violation(
+                    &scan,
+                    violations,
+                    allowed,
+                    "scratch-dir",
+                    &relpath,
+                    line.number,
+                    "`temp_dir()` outside `lis_core::scratch` — take a `ScratchDir`, whose \
+                     name is unique per call, instead of naming a directory that a parallel \
+                     test can share"
+                        .to_string(),
                 );
             }
         }

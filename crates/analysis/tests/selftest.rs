@@ -133,6 +133,32 @@ mod tests {
 }
 "#;
 
+/// A rebuilt-per-epoch victim copying its keyset's array, beside the same
+/// copy in a test module, which is exempt.
+const VIOLATING_VICTIM_FILE: &str = r#"
+pub fn build(ks: &KeySet) -> Index {
+    let keys = ks.keys().to_vec();
+    Index { keys }
+}
+
+#[cfg(test)]
+mod tests {
+    fn probes(ks: &KeySet) -> Vec<u64> {
+        ks.keys().to_vec()
+    }
+}
+"#;
+
+/// A fixed-name scratch directory in a test. Spelled through `concat!` so
+/// that this file, which the rule also walks, does not trip it.
+const VIOLATING_SCRATCH_FILE: &str = concat!(
+    "#[test]\n",
+    "fn writes_a_fixture() {\n",
+    "    let dir = std::env::temp_",
+    "dir().join(\"fixture\");\n",
+    "}\n",
+);
+
 #[test]
 fn violating_tree_trips_every_rule() {
     let root = scratch_root("violating");
@@ -170,6 +196,12 @@ fn violating_tree_trips_every_rule() {
         "crates/core/src/orphan.rs",
         "impl LearnedIndex for Orphan {}\nimpl LearnedIndex for Registered {}\n",
     );
+    write(&root, "crates/core/src/rmi.rs", VIOLATING_VICTIM_FILE);
+    // A structure that is not rebuilt per epoch may copy.
+    write(&root, "crates/core/src/btree.rs", VIOLATING_VICTIM_FILE);
+    write(&root, "tests/fixture.rs", VIOLATING_SCRATCH_FILE);
+    // `ScratchDir`'s own module is where `temp_dir()` belongs.
+    write(&root, "crates/core/src/scratch.rs", VIOLATING_SCRATCH_FILE);
 
     let report = analyze(&root);
     let hit: Vec<&str> = report.violations.iter().map(|v| v.rule).collect();
@@ -268,6 +300,25 @@ fn violating_tree_trips_every_rule() {
                 && v.line == 18),
         "signal.wait(guard) outside a loop must be flagged"
     );
+
+    // Only the victim's non-test copy is flagged.
+    let copies: Vec<(&str, usize)> = report
+        .violations
+        .iter()
+        .filter(|v| v.rule == "shared-key-array")
+        .map(|v| (v.file.as_str(), v.line))
+        .collect();
+    assert_eq!(copies, vec![("crates/core/src/rmi.rs", 3)]);
+
+    // The test's `temp_dir()` is flagged, tests/ being in scope; the
+    // scratch module's is not.
+    let scratch: Vec<(&str, usize)> = report
+        .violations
+        .iter()
+        .filter(|v| v.rule == "scratch-dir")
+        .map(|v| (v.file.as_str(), v.line))
+        .collect();
+    assert_eq!(scratch, vec![("tests/fixture.rs", 3)]);
 
     // The orphan index type is flagged; the registered one is not.
     let registry: Vec<&str> = report

@@ -73,7 +73,8 @@ impl StageModel {
 #[derive(Debug, Clone)]
 pub struct DeepRmi {
     stages: Vec<Vec<StageModel>>,
-    keys: Vec<Key>,
+    /// The keyset's own array, shared ([`KeySet::shared_keys`]).
+    keys: std::sync::Arc<Vec<Key>>,
     /// Per-leaf max training error (last-mile radius), leaf-indexed.
     leaf_errors: Vec<usize>,
     /// Pooled `(key, slot)` permutation buffers for the sorted-batch path.
@@ -105,10 +106,10 @@ impl DeepRmi {
             return Err(LisError::InvalidRmiConfig("zero-width stage".into()));
         }
         // Fan-out captures are `Arc`-shared (the persistent pool's workers
-        // are `'static`) and recovered between stages with `try_unwrap` —
-        // sound because every backend drops its task clones before
-        // completing.
-        let keys = std::sync::Arc::new(ks.keys().to_vec());
+        // are `'static`): the keyset's own array, and per-stage working
+        // arrays recovered between stages with `try_unwrap` — sound
+        // because every backend drops its task clones before completing.
+        let keys = ks.shared_keys();
         let n = keys.len();
 
         let mut stages: Vec<Vec<StageModel>> = Vec::with_capacity(cfg.stage_widths.len());
@@ -234,7 +235,7 @@ impl DeepRmi {
 
         Ok(Self {
             stages,
-            keys: std::sync::Arc::try_unwrap(keys).expect("fan-out released the keys"),
+            keys,
             leaf_errors,
             scratch: ScratchPool::new(),
         })
@@ -301,7 +302,7 @@ impl DeepRmi {
 
         Ok(Self {
             stages,
-            keys: ks.keys().to_vec(),
+            keys: ks.shared_keys(),
             leaf_errors,
             scratch: ScratchPool::new(),
         })
@@ -376,7 +377,9 @@ impl DeepRmi {
     /// each probe's leaf window. Per-probe results are identical to
     /// [`DeepRmi::lookup`] at every pipeline depth.
     pub fn lookup_batch_into(&self, keys: &[Key], out: &mut Vec<Lookup>) {
-        let last = self.keys.len().saturating_sub(1);
+        // Through the `Arc` once per batch, not once per probe.
+        let data: &[Key] = &self.keys;
+        let last = data.len().saturating_sub(1);
         crate::index::sorted_batch_pipelined(
             &self.scratch,
             keys,
@@ -386,13 +389,13 @@ impl DeepRmi {
                 let guess = self.predict_at_leaf(leaf, k);
                 let radius = self.leaf_errors[leaf] + 1;
                 crate::search::prefetch_window(
-                    &self.keys,
+                    data,
                     guess.saturating_sub(radius),
                     guess.saturating_add(radius).min(last),
                 );
                 (guess, radius)
             },
-            |k, (guess, radius)| bounded_search_with_fallback(&self.keys, k, guess, radius).into(),
+            |k, (guess, radius)| bounded_search_with_fallback(data, k, guess, radius).into(),
         );
     }
 

@@ -5,7 +5,7 @@
 //! `m`. Every key has a *rank* — its 1-based position in the sorted order —
 //! and the (non-normalized) CDF of the keyset maps each key to its rank.
 //!
-//! [`KeySet`] is the canonical owned representation used throughout the
+//! [`KeySet`] is the canonical representation used throughout the
 //! workspace: a sorted `Vec<u64>` with no duplicates, paired with the key
 //! universe it was drawn from. It exposes rank queries, gap iteration (the
 //! maximal runs of unoccupied keys that the poisoning attack mines for
@@ -15,10 +15,15 @@
 //! write: a [`Stage`] collects validated operations, [`KeyView`] reads
 //! "keyset plus stage" as if they were already applied, and
 //! [`KeySet::commit`] merges the stage in one pass.
+//!
+//! The key array is shared, not owned: cloning a keyset and building an
+//! index over it ([`KeySet::shared_keys`]) hand out the same array in
+//! `O(1)`, and nothing ever writes an array another holder can see.
 
 use crate::error::{LisError, Result};
 use std::collections::btree_map::{BTreeMap, Entry};
 use std::fmt;
+use std::sync::Arc;
 
 /// A key is a non-negative integer, as in the paper (Section III,
 /// "for simplicity, we assume that keys are non-negative integers").
@@ -120,9 +125,14 @@ impl Gap {
 ///
 /// This is the training set of every learned-index model in the workspace:
 /// the CDF pairs are `(self.keys[i], i + 1)`.
+///
+/// `clone` is `O(1)`: clones share the key array. [`KeySet::insert`]/
+/// [`KeySet::remove`] copy a shared array before writing it, and
+/// [`KeySet::commit`] always merges into a fresh one, so an array never
+/// changes under a clone or an index built from it.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct KeySet {
-    keys: Vec<Key>,
+    keys: Arc<Vec<Key>>,
     domain: KeyDomain,
 }
 
@@ -154,7 +164,10 @@ impl KeySet {
                 domain,
             });
         }
-        Ok(Self { keys, domain })
+        Ok(Self {
+            keys: Arc::new(keys),
+            domain,
+        })
     }
 
     /// Builds a keyset whose domain is exactly `[min(keys), max(keys)]`.
@@ -176,12 +189,22 @@ impl KeySet {
             "keys must be strictly sorted"
         );
         debug_assert!(!keys.is_empty());
-        Self { keys, domain }
+        Self {
+            keys: Arc::new(keys),
+            domain,
+        }
     }
 
     /// The sorted keys.
     pub fn keys(&self) -> &[Key] {
         &self.keys
+    }
+
+    /// The sorted key array itself, shared in `O(1)` — what an index
+    /// built over this keyset stores instead of a copy. No holder ever
+    /// sees it change.
+    pub fn shared_keys(&self) -> Arc<Vec<Key>> {
+        Arc::clone(&self.keys)
     }
 
     /// The key domain (universe) this set was drawn from.
@@ -304,7 +327,8 @@ impl KeySet {
         Ok(next)
     }
 
-    /// Inserts `key` in place, keeping sorted order.
+    /// Inserts `key` in place (into a private copy if the array is
+    /// shared), keeping sorted order.
     pub fn insert(&mut self, key: Key) -> Result<()> {
         if !self.domain.contains(key) {
             return Err(LisError::KeyOutOfDomain {
@@ -315,17 +339,18 @@ impl KeySet {
         match self.keys.binary_search(&key) {
             Ok(_) => Err(LisError::DuplicateKey(key)),
             Err(pos) => {
-                self.keys.insert(pos, key);
+                Arc::make_mut(&mut self.keys).insert(pos, key);
                 Ok(())
             }
         }
     }
 
-    /// Removes `key` in place. Errors if absent.
+    /// Removes `key` in place (from a private copy if the array is
+    /// shared). Errors if absent.
     pub fn remove(&mut self, key: Key) -> Result<()> {
         match self.keys.binary_search(&key) {
             Ok(pos) => {
-                self.keys.remove(pos);
+                Arc::make_mut(&mut self.keys).remove(pos);
                 Ok(())
             }
             Err(_) => Err(LisError::KeyNotFound(key)),
@@ -340,73 +365,36 @@ impl KeySet {
         Ok(())
     }
 
-    /// Merges `stage` into the key array in place and leaves it empty:
-    /// the result equals applying the staged operations one by one with
+    /// Merges `stage` into a fresh key array and leaves it empty: the
+    /// result equals applying the staged operations one by one with
     /// [`KeySet::insert`]/[`KeySet::remove`], for one `O(n)` pass instead
     /// of one per operation.
     ///
-    /// Between two consecutive staged keys lies a run of array keys that
-    /// all shift by the same amount (adds before the run minus removes
-    /// before it). Runs shifting toward the front are slid front to back,
-    /// runs shifting toward the back are slid back to front, and a run
-    /// with no net shift stays put — so every key moves at most once,
-    /// and a one-operation stage costs what `Vec::insert`/`Vec::remove`
-    /// does. A run's destination never overlaps a run that has yet to
-    /// move: the final layout is ordered and disjoint, and a run only
-    /// ever approaches its own final place.
+    /// The merge walks the staged keys in order, copying the run of array
+    /// keys below each one, then the staged key if it is an add (a
+    /// removed key's place is skipped) — every surviving key is copied
+    /// exactly once. It never writes the old array, so clones of this
+    /// keyset and indexes sharing its array keep answering as before.
     ///
     /// `stage` must have been filled against this keyset since its last
     /// commit (see [`Stage`]).
     pub fn commit(&mut self, stage: &mut Stage) {
-        let keys = &mut self.keys;
-        let old_len = keys.len();
-        let new_len = old_len.wrapping_add_signed(stage.net);
-        if new_len > old_len {
-            keys.resize(new_len, 0);
-        }
-
-        // Front to back: find every staged key's place in the array and
-        // slide the front-bound runs. Such a run lands left of where it
-        // started, so everything right of it — all that the later
-        // searches read — is still untouched.
-        let mut places = Vec::with_capacity(stage.pending.len());
-        let (mut run, mut shift) = (0usize, 0isize);
+        let old = &self.keys;
+        let mut merged = Vec::with_capacity(old.len().wrapping_add_signed(stage.net));
+        let mut run = 0;
         for (&key, &op) in &stage.pending {
-            let place = run + keys[run..old_len].partition_point(|&k| k < key);
-            if shift < 0 {
-                keys.copy_within(run..place, run - shift.unsigned_abs());
-            }
-            places.push(place);
-            (run, shift) = match op {
-                Pending::Add => (place, shift + 1),
-                Pending::Remove => (place + 1, shift - 1),
-            };
-        }
-        if shift < 0 {
-            keys.copy_within(run..old_len, run - shift.unsigned_abs());
-        }
-
-        // Back to front: slide the back-bound runs, dropping each added
-        // key into the slot that opens below its run.
-        let mut end = old_len;
-        for ((&key, &op), &place) in stage.pending.iter().rev().zip(places.iter().rev()) {
-            let run = match op {
-                Pending::Add => place,
+            let place = run + old[run..].partition_point(|&k| k < key);
+            merged.extend_from_slice(&old[run..place]);
+            run = match op {
+                Pending::Add => {
+                    merged.push(key);
+                    place
+                }
                 Pending::Remove => place + 1,
             };
-            if shift > 0 {
-                keys.copy_within(run..end, run + shift.unsigned_abs());
-            }
-            match op {
-                Pending::Add => {
-                    shift -= 1;
-                    keys[place.wrapping_add_signed(shift)] = key;
-                }
-                Pending::Remove => shift += 1,
-            }
-            end = place;
         }
-        keys.truncate(new_len);
+        merged.extend_from_slice(&old[run..]);
+        self.keys = Arc::new(merged);
         stage.clear();
     }
 
@@ -424,7 +412,7 @@ impl KeySet {
             .map(|range| {
                 let slice = &self.keys[range];
                 KeySet {
-                    keys: slice.to_vec(),
+                    keys: Arc::new(slice.to_vec()),
                     domain: KeyDomain {
                         min: slice[0],
                         max: *slice.last().unwrap(),
@@ -846,8 +834,8 @@ mod tests {
     }
 
     /// Every way of toggling a 12-key universe over a 6-key base: each
-    /// pattern of front-bound, back-bound and unmoved runs the merge can
-    /// meet on a small array, both array ends included.
+    /// pattern of kept runs, adds and removes the merge can meet on a
+    /// small array, both array ends included.
     #[test]
     fn commit_matches_per_op_for_every_toggle_pattern() {
         let base = KeySet::new(vec![1, 2, 5, 6, 9, 10], KeyDomain::up_to(11)).unwrap();
@@ -907,5 +895,51 @@ mod tests {
         stage.remove(&ks, 9).unwrap();
         stage.insert(&ks, 6).unwrap();
         assert!(stage.is_empty());
+    }
+
+    #[test]
+    fn clones_share_the_array_and_writes_never_reach_the_other_holder() {
+        let ks = paper_example();
+        let mut writer = ks.clone();
+        assert!(Arc::ptr_eq(&ks.shared_keys(), &writer.shared_keys()));
+        writer.insert(9).unwrap();
+        assert_eq!(writer.keys(), &[2, 6, 7, 9, 12]);
+        assert_eq!(ks.keys(), &[2, 6, 7, 12]);
+
+        let mut writer = ks.clone();
+        writer.remove(6).unwrap();
+        assert_eq!(writer.keys(), &[2, 7, 12]);
+        assert_eq!(ks.keys(), &[2, 6, 7, 12]);
+    }
+
+    #[test]
+    fn commit_leaves_an_index_sharing_the_old_array_answering_as_before() {
+        use crate::rmi::{Rmi, RmiConfig};
+        let mut ks = KeySet::from_keys((1..2000u64).map(|i| i * i / 3 + 2 * i).collect()).unwrap();
+        let old = ks.shared_keys();
+        let rmi = Rmi::build(&ks, &RmiConfig::linear_root(16)).unwrap();
+        assert_eq!(
+            rmi.keys().as_ptr(),
+            old.as_ptr(),
+            "the index copied the keys"
+        );
+        let before: Vec<_> = old.iter().map(|&k| rmi.lookup(k)).collect();
+
+        let mut stage = Stage::new();
+        for (i, &k) in old.iter().enumerate().step_by(7) {
+            if i % 2 == 0 {
+                stage.remove(&ks, k).unwrap();
+            } else if !ks.contains(k + 1) {
+                stage.insert(&ks, k + 1).unwrap();
+            }
+        }
+        ks.commit(&mut stage);
+        assert!(!Arc::ptr_eq(&ks.shared_keys(), &old));
+        assert_ne!(ks.keys(), &old[..]);
+
+        for (i, (&k, &want)) in old.iter().zip(&before).enumerate() {
+            assert_eq!(want.pos, Some(i));
+            assert_eq!(rmi.lookup(k), want, "key {k}");
+        }
     }
 }

@@ -131,28 +131,56 @@ impl LinearModel {
     /// one-`max`-per-key dependency chain and skip `f64::max`'s NaN
     /// handling. A maximum is exact and the residuals are never NaN, so
     /// neither the order they are compared in nor the form of the
-    /// comparison can change the result.
+    /// comparison can change the result. Keys and ranks convert as in
+    /// [`fit_sorted_slice`].
     pub fn max_abs_error_slice(&self, keys: &[Key]) -> f64 {
+        if signed_conversion_is_exact(keys) {
+            self.max_abs_error_lanes::<true>(keys)
+        } else {
+            self.max_abs_error_lanes::<false>(keys)
+        }
+    }
+
+    fn max_abs_error_lanes<const SIGNED: bool>(&self, keys: &[Key]) -> f64 {
         let mut max = [0.0f64; 4];
-        let mut keep = |lane: usize, key: Key, rank: usize| {
-            let e = self.residual(key, rank).abs();
+        let mut keep = |lane: usize, key: Key, rank: f64| {
+            let e = (self.w * key_to_f64::<SIGNED>(key) + self.b - rank).abs();
             if e > max[lane] {
                 max[lane] = e;
             }
         };
         let quads = keys.chunks_exact(4);
         let tail = quads.remainder();
-        let mut rank = 1;
+        let mut rank = 1.0;
         for quad in quads {
             for (lane, &key) in quad.iter().enumerate() {
-                keep(lane, key, rank + lane);
+                keep(lane, key, rank + lane as f64);
             }
-            rank += 4;
+            rank += 4.0;
         }
         for (lane, &key) in tail.iter().enumerate() {
-            keep(lane, key, rank + lane);
+            keep(lane, key, rank + lane as f64);
         }
         max[0].max(max[1]).max(max[2].max(max[3]))
+    }
+}
+
+/// Whether every key of the sorted slice `keys` fits in an `i64`, so that
+/// `key_to_f64::<true>` equals `k as f64` on all of them.
+fn signed_conversion_is_exact(keys: &[Key]) -> bool {
+    keys.last().is_none_or(|&k| k <= i64::MAX as Key)
+}
+
+/// `k as f64`, through the signed conversion when `SIGNED`. Both round
+/// the same integer to the nearest `f64`, so they agree on every key up
+/// to `i64::MAX`; the signed one is a single instruction on baseline
+/// x86-64, the unsigned one a multi-instruction sequence.
+#[inline(always)]
+fn key_to_f64<const SIGNED: bool>(k: Key) -> f64 {
+    if SIGNED {
+        k as i64 as f64
+    } else {
+        k as f64
     }
 }
 
@@ -172,21 +200,24 @@ impl LinearModel {
 /// while the intermediate integers stay below 2⁵³ (every leaf-sized
 /// partition; beyond that only the reported `mse` can differ in final
 /// ulps, never `w` or `b`, which are rank-square-free).
+///
+/// The conversions are the cheap exact ones: the rank is a running
+/// `f64` (`r += 1.0` is exact below 2⁵³), and when the slice's last key
+/// fits in an `i64` every key converts as `(k as i64) as f64` — the same
+/// correctly rounded value as `k as f64`, in one instruction instead of
+/// the unsigned sequence. Slices reaching above `i64::MAX` keep
+/// `k as f64`.
 pub fn fit_sorted_slice(keys: &[Key]) -> Result<(LinearModel, CdfMoments)> {
     if keys.is_empty() {
         return Err(LisError::DegenerateRegression { n: 0 });
     }
     let n = keys.len();
     let shift = midpoint_shift(keys[0], keys[n - 1]);
-    let mut sum_x = 0.0;
-    let mut sum_xx = 0.0;
-    let mut sum_xr = 0.0;
-    for (i, &k) in keys.iter().enumerate() {
-        let x = k as f64 - shift;
-        sum_x += x;
-        sum_xx += x * x;
-        sum_xr += x * (i + 1) as f64;
-    }
+    let (sum_x, sum_xx, sum_xr) = if signed_conversion_is_exact(keys) {
+        key_sums::<true>(keys, shift)
+    } else {
+        key_sums::<false>(keys, shift)
+    };
     let m = CdfMoments {
         n,
         shift,
@@ -210,6 +241,21 @@ pub fn fit_sorted_slice(keys: &[Key]) -> Result<(LinearModel, CdfMoments)> {
         ));
     }
     Ok((LinearModel::from_moments(&m), m))
+}
+
+/// `(Σx, Σx², Σxr)` over `x = k − shift` and ranks `1..=len`, in key
+/// order — the accumulation [`CdfMoments::from_pairs_shifted`] performs.
+fn key_sums<const SIGNED: bool>(keys: &[Key], shift: f64) -> (f64, f64, f64) {
+    let (mut sum_x, mut sum_xx, mut sum_xr) = (0.0, 0.0, 0.0);
+    let mut rank = 0.0;
+    for &k in keys {
+        let x = key_to_f64::<SIGNED>(k) - shift;
+        rank += 1.0;
+        sum_x += x;
+        sum_xx += x * x;
+        sum_xr += x * rank;
+    }
+    (sum_x, sum_xx, sum_xr)
 }
 
 /// Optimal MSE from moments: `Var_R − Cov²_KR / Var_K` (corrected Theorem 1).
@@ -327,30 +373,41 @@ mod tests {
     fn fit_sorted_slice_is_bitwise_identical_to_keyset_fit() {
         // The zero-copy path must be indistinguishable from the KeySet
         // path — same shift, same accumulation order, closed-form rank
-        // sums exact at these sizes.
-        for keys in [
+        // sums exact at these sizes, and the signed key conversion taken
+        // exactly when it equals the unsigned one: slices ending below,
+        // at and above `i64::MAX`, up to `u64::MAX`, and lengths 1..=9
+        // (every tail lane of the four-way max).
+        let top = i64::MAX as u64;
+        let mut inputs = vec![
             vec![2u64, 6, 7, 12],
             (0..1000u64).map(|i| i * 7 + 3).collect::<Vec<_>>(),
             (1..500u64).map(|i| i * i).collect::<Vec<_>>(),
-            vec![5u64],
-        ] {
+            (0..300u64).map(|i| top - 150 * 7919 + i * 7919).collect(),
+            (0..300u64).map(|i| u64::MAX - (299 - i) * 12_345).collect(),
+            (0..300u64).map(|i| top - (299 - i) * 977).collect(),
+        ];
+        inputs.extend((1..=9u64).map(|len| (0..len).map(|i| i * i * 3 + 5).collect()));
+        for keys in inputs {
             let (slice_model, m) = fit_sorted_slice(&keys).unwrap();
             assert_eq!(m.n, keys.len());
+            let ks = KeySet::from_keys(keys.clone()).unwrap();
             if keys.len() >= 2 {
-                let ks = KeySet::from_keys(keys.clone()).unwrap();
                 let ks_model = LinearModel::fit(&ks).unwrap();
                 assert_eq!(slice_model.w.to_bits(), ks_model.w.to_bits());
                 assert_eq!(slice_model.b.to_bits(), ks_model.b.to_bits());
                 assert_eq!(slice_model.mse.to_bits(), ks_model.mse.to_bits());
-                assert_eq!(
-                    slice_model.max_abs_error_slice(&keys).to_bits(),
-                    ks_model.max_abs_error(&ks).to_bits()
-                );
             } else {
                 assert_eq!(slice_model.w, 0.0);
                 assert_eq!(slice_model.b, 1.0);
                 assert_eq!(slice_model.mse, 0.0);
             }
+            assert_eq!(
+                slice_model.max_abs_error_slice(&keys).to_bits(),
+                slice_model.max_abs_error(&ks).to_bits(),
+                "{} keys ending at {}",
+                keys.len(),
+                keys[keys.len() - 1]
+            );
         }
         assert!(fit_sorted_slice(&[]).is_err());
     }

@@ -21,6 +21,7 @@ use crate::index::{LearnedIndex, Lookup};
 use crate::keys::{Key, KeySet};
 use crate::scratch::ScratchPool;
 use crate::search::bounded_search_with_fallback;
+use std::sync::Arc;
 
 /// Build configuration for [`PlaIndex`] under the [`LearnedIndex`] API.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -65,7 +66,8 @@ impl Segment {
 #[derive(Debug, Clone)]
 pub struct PlaIndex {
     segments: Vec<Segment>,
-    keys: Vec<Key>,
+    /// The keyset's own array, shared ([`KeySet::shared_keys`]).
+    keys: Arc<Vec<Key>>,
     epsilon: usize,
     /// Mean squared training error, computed once at build time.
     training_loss: f64,
@@ -88,12 +90,13 @@ impl PlaIndex {
     /// of every victim it builds; the old implementation re-routed every
     /// key through a per-key binary search on every call).
     pub fn build(ks: &KeySet, epsilon: usize) -> Result<Self> {
-        let (segments, keys) = Self::cut_segments(ks, epsilon)?;
+        let segments = Self::cut_segments(ks, epsilon)?;
         // Streaming stats: segments tile the keyset in order, so each
         // key's responsible segment is the one covering its range — the
         // same segment `segment_for` routes to — and the sweep touches
         // keys in exactly the order the routed reference path does,
         // keeping the sums bit-identical.
+        let keys = ks.keys();
         let total = keys.len();
         let mut sum_sq = 0.0f64;
         let mut max_err = 0usize;
@@ -107,7 +110,7 @@ impl PlaIndex {
         }
         Ok(Self {
             segments,
-            keys,
+            keys: ks.shared_keys(),
             epsilon,
             training_loss: if total == 0 {
                 0.0
@@ -125,10 +128,9 @@ impl PlaIndex {
     /// each key re-routed through the per-key segment binary search.
     /// Produces an index identical to [`PlaIndex::build`].
     pub fn build_reference(ks: &KeySet, epsilon: usize) -> Result<Self> {
-        let (segments, keys) = Self::cut_segments(ks, epsilon)?;
         let mut out = Self {
-            segments,
-            keys,
+            segments: Self::cut_segments(ks, epsilon)?,
+            keys: ks.shared_keys(),
             epsilon,
             training_loss: 0.0,
             max_train_err: 0,
@@ -140,11 +142,11 @@ impl PlaIndex {
     }
 
     /// The shrinking-cone segmentation shared by both build paths.
-    fn cut_segments(ks: &KeySet, epsilon: usize) -> Result<(Vec<Segment>, Vec<Key>)> {
+    fn cut_segments(ks: &KeySet, epsilon: usize) -> Result<Vec<Segment>> {
         if epsilon == 0 {
             return Err(LisError::Invariant("PLA epsilon must be ≥ 1".into()));
         }
-        let keys = ks.keys().to_vec();
+        let keys = ks.keys();
         let mut segments = Vec::new();
         let eps = epsilon as f64;
 
@@ -189,7 +191,7 @@ impl PlaIndex {
             });
             start = end;
         }
-        Ok((segments, keys))
+        Ok(segments)
     }
 
     /// Number of segments — the memory-footprint proxy the attack inflates.
@@ -261,9 +263,11 @@ impl PlaIndex {
     /// prediction run ahead of the `epsilon`-bounded window searches,
     /// prefetching each probe's window so cache misses overlap.
     pub fn lookup_batch_into(&self, keys: &[Key], out: &mut Vec<Lookup>) {
+        // Through the `Arc` once per batch, not once per probe.
+        let data: &[Key] = &self.keys;
         let mut seg = 0usize;
         let radius = self.epsilon + 1;
-        let last = self.keys.len().saturating_sub(1);
+        let last = data.len().saturating_sub(1);
         crate::index::sorted_batch_pipelined(
             &self.scratch,
             keys,
@@ -272,15 +276,15 @@ impl PlaIndex {
                 // Monotone `segment_for`: last segment with
                 // `first_key ≤ k`, galloping forward from the cursor.
                 seg = crate::search::monotone_route_by(&self.segments, seg, k, |s| s.first_key);
-                let guess = self.segments[seg].predict_pos(k, self.keys.len());
+                let guess = self.segments[seg].predict_pos(k, data.len());
                 crate::search::prefetch_window(
-                    &self.keys,
+                    data,
                     guess.saturating_sub(radius),
                     guess.saturating_add(radius).min(last),
                 );
                 guess
             },
-            |k, guess| bounded_search_with_fallback(&self.keys, k, guess, radius).into(),
+            |k, guess| bounded_search_with_fallback(data, k, guess, radius).into(),
         );
     }
 

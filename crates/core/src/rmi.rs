@@ -26,6 +26,7 @@ use crate::par;
 use crate::scratch::ScratchPool;
 use crate::search::bounded_search_with_fallback;
 use crate::stats::{midpoint_shift, CdfMoments};
+use std::sync::Arc;
 
 /// Which model family serves as the RMI root.
 #[derive(Debug, Clone)]
@@ -187,7 +188,8 @@ pub struct Rmi {
     table: LeafTable,
     /// First key of each partition, for oracle routing.
     boundaries: Vec<Key>,
-    keys: Vec<Key>,
+    /// The keyset's own array, shared ([`KeySet::shared_keys`]).
+    keys: Arc<Vec<Key>>,
     routing: Routing,
     /// Pooled `(key, slot)` permutation buffers for the sorted-batch path.
     scratch: ScratchPool<Vec<(Key, usize)>>,
@@ -229,10 +231,9 @@ impl Rmi {
             )));
         }
         // The fan-out's captures are `Arc`-shared (the persistent pool's
-        // workers are `'static`) and recovered afterwards — the backend
-        // drops its clones before completing, so `try_unwrap` succeeds.
-        let bounds = std::sync::Arc::new(ks.partition_bounds(cfg.num_leaves)?);
-        let keys = std::sync::Arc::new(ks.keys().to_vec());
+        // workers are `'static`): the keyset's own array, and the bounds.
+        let bounds = Arc::new(ks.partition_bounds(cfg.num_leaves)?);
+        let keys = ks.shared_keys();
 
         struct FittedLeaf {
             model: LinearModel,
@@ -241,8 +242,8 @@ impl Rmi {
         }
         let workers = par::effective_workers(threads, bounds.len());
         let fitted: Vec<FittedLeaf> = {
-            let keys = std::sync::Arc::clone(&keys);
-            let bounds = std::sync::Arc::clone(&bounds);
+            let keys = Arc::clone(&keys);
+            let bounds = Arc::clone(&bounds);
             par::map_chunks(bounds.len(), workers, move |range| {
                 range
                     .map(|i| {
@@ -259,8 +260,6 @@ impl Rmi {
                     .collect()
             })
         };
-        let bounds = std::sync::Arc::try_unwrap(bounds).expect("fan-out released its captures");
-        let keys = std::sync::Arc::try_unwrap(keys).expect("fan-out released its captures");
 
         let mut table = LeafTable::default();
         let mut boundaries = Vec::with_capacity(bounds.len());
@@ -339,7 +338,7 @@ impl Rmi {
             root,
             table,
             boundaries,
-            keys: ks.keys().to_vec(),
+            keys: ks.shared_keys(),
             routing: cfg.routing,
             scratch: ScratchPool::new(),
         })
@@ -435,8 +434,10 @@ impl Rmi {
     /// results (`found`, position, cost) are identical to [`Rmi::lookup`]
     /// at every depth; only locality and memory-level parallelism change.
     pub fn lookup_batch_into(&self, keys: &[Key], out: &mut Vec<Lookup>) {
+        // Through the `Arc` once per batch, not once per probe.
+        let data: &[Key] = &self.keys;
         let mut leaf = 0usize;
-        let last = self.keys.len() - 1;
+        let last = data.len() - 1;
         crate::index::sorted_batch_pipelined(
             &self.scratch,
             keys,
@@ -455,13 +456,13 @@ impl Rmi {
                 let guess = self.predict_at_leaf(leaf, k);
                 let radius = self.table.max_err[leaf] + 1;
                 crate::search::prefetch_window(
-                    &self.keys,
+                    data,
                     guess.saturating_sub(radius),
                     guess.saturating_add(radius).min(last),
                 );
                 (guess, radius)
             },
-            |k, (guess, radius)| bounded_search_with_fallback(&self.keys, k, guess, radius).into(),
+            |k, (guess, radius)| bounded_search_with_fallback(data, k, guess, radius).into(),
         );
     }
 

@@ -8,6 +8,8 @@
 //! surfaces: the registry-wide fallible write API, and the traffic mixer's
 //! realized adversarial ratio.
 
+use lis::core::error::LisError;
+use lis::core::index::ErasedIndex;
 use lis::online::{run_campaign, Campaign, CampaignConfig};
 use lis::prelude::*;
 use lis::server::{AdmitAll, WriteOp};
@@ -15,6 +17,7 @@ use lis::workloads::{domain_for_density, trial_rng, uniform_keys};
 use proptest::prelude::*;
 use rand::Rng;
 use std::collections::BTreeSet;
+use std::sync::{Arc, Mutex};
 
 const N: usize = 600;
 const DENSITY: f64 = 0.15;
@@ -118,6 +121,85 @@ fn assert_online_matches_offline(
     prop_assert_eq!(report.writes_applied as usize, ops.len());
     prop_assert!(report.epochs >= 1);
     Ok(())
+}
+
+/// A served index the test keeps its own handle on: the writer publishes
+/// it wrapped, so the test's `Arc` is the very index readers are served.
+struct Held(Arc<DynIndex>);
+
+impl ErasedIndex for Held {
+    fn lookup(&self, key: Key) -> Lookup {
+        self.0.lookup(key)
+    }
+    fn lookup_batch(&self, keys: &[Key]) -> Vec<Lookup> {
+        self.0.lookup_batch(keys)
+    }
+    fn lookup_batch_into(&self, keys: &[Key], out: &mut Vec<Lookup>) {
+        self.0.lookup_batch_into(keys, out)
+    }
+    fn lookup_each_into(&self, keys: &[Key], out: &mut Vec<Lookup>) {
+        self.0.lookup_each_into(keys, out)
+    }
+    fn try_insert(&mut self, _: Key) -> lis::core::error::Result<()> {
+        Err(LisError::Unsupported("held by the test".into()))
+    }
+    fn try_remove(&mut self, _: Key) -> lis::core::error::Result<()> {
+        Err(LisError::Unsupported("held by the test".into()))
+    }
+    fn loss(&self) -> f64 {
+        self.0.loss()
+    }
+    fn memory_bytes(&self) -> usize {
+        self.0.memory_bytes()
+    }
+    fn len(&self) -> usize {
+        self.0.len()
+    }
+}
+
+/// An rmi published at epoch `e` shares its keyset's key array with the
+/// writer. Held across 60 further write epochs — each merging into a new
+/// array — it still answers every member of epoch `e`'s keyset at the
+/// same rank, and that keyset's array still holds the same keys.
+#[test]
+fn an_epoch_held_by_a_reader_keeps_answering_across_later_epochs() {
+    let ks = sample_keyset(7);
+    let ops = benign_ops(&ks, 7, 70);
+    let latest = Arc::new(Mutex::new(None::<(KeySet, Arc<DynIndex>)>));
+    let server = {
+        let latest = Arc::clone(&latest);
+        Server::start_online(
+            ks.clone(),
+            move |ks| {
+                let index = Arc::new(IndexRegistry::with_defaults().build("rmi", ks)?);
+                *latest.lock().unwrap() = Some((ks.clone(), Arc::clone(&index)));
+                Ok(DynIndex::new("rmi", Held(index)))
+            },
+            Box::new(AdmitAll),
+            ServeConfig::offline().workers(1).write_batch(1),
+        )
+        .expect("online server")
+    };
+    let handle = server.handle();
+    let (before, after) = ops.split_at(10);
+    for &op in before {
+        assert!(handle.write(op, 0).expect("write path").is_applied());
+    }
+    // Writes are acked after their epoch is published, so the last index
+    // built is the one being served.
+    let held_epoch = server.epoch();
+    let (held_ks, held) = latest.lock().unwrap().clone().expect("built");
+    let held_keys = held_ks.keys().to_vec();
+    for &op in after {
+        assert!(handle.write(op, 0).expect("write path").is_applied());
+    }
+    assert!(server.epoch() >= held_epoch + 50, "{}", server.epoch());
+
+    assert_eq!(held_ks.keys(), &held_keys[..]);
+    for (i, &k) in held_keys.iter().enumerate() {
+        assert_eq!(held.lookup(k).pos, Some(i), "key {k}");
+    }
+    server.shutdown();
 }
 
 proptest! {
