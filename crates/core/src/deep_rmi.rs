@@ -243,7 +243,7 @@ impl DeepRmi {
 
     /// The pre-optimization training pass — per-model pair buckets cloned
     /// from a materialized CDF, serial fits — kept callable as the
-    /// `buildpath` bench's reference. Produces the same index as
+    /// reference of `tests/property_buildpath.rs`. Produces the same index as
     /// [`DeepRmi::build`] bit for bit.
     pub fn build_reference(ks: &KeySet, cfg: &DeepRmiConfig) -> Result<Self> {
         if cfg.stage_widths.is_empty() || cfg.stage_widths[0] != 1 {

@@ -122,8 +122,8 @@ impl PlaIndex {
         })
     }
 
-    /// The pre-optimization build path, kept callable as the `buildpath`
-    /// bench's reference: the same cone construction, but training
+    /// The pre-optimization build path, kept callable as the reference of
+    /// `tests/property_buildpath.rs`: the same cone construction, but training
     /// statistics computed the way the old `loss()` did on every call —
     /// each key re-routed through the per-key segment binary search.
     /// Produces an index identical to [`PlaIndex::build`].

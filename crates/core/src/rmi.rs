@@ -299,8 +299,8 @@ impl Rmi {
 
     /// The pre-optimization build path — partition copies, per-leaf
     /// [`KeySet`] fits, a dedicated root training pass — kept callable as
-    /// the `buildpath` bench's reference, so the optimized plane's
-    /// speedup stays measurable forever (the build-plane analogue of
+    /// the reference `tests/property_buildpath.rs` pins the optimized
+    /// plane against (the build-plane analogue of
     /// `lookup_each_into`). Leaf tables, boundaries, and lookups are
     /// identical to [`Rmi::build`]; only the linear root's `w`/`b` may
     /// differ in final ulps (direct fit vs. rebased-moment assembly).

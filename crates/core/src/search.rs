@@ -24,8 +24,7 @@
 //!
 //! [`set_scalar_kernel`] swaps the lane tail for an element-at-a-time
 //! scalar loop with bit-identical results *and* comparison counts: the
-//! executable oracle behind the `vectorized ≡ scalar` identity tests and
-//! the scalar baseline column of the hotpath bench.
+//! executable oracle behind the `vectorized ≡ scalar` identity tests.
 
 // lis-analysis: zone(zero-alloc)
 // Every routine in this file runs per-probe inside the serve loop; the
@@ -235,8 +234,7 @@ pub fn scalar_kernel() -> bool {
 
 /// Selects the scalar-equivalent window kernel (`true`) or the lane
 /// kernel (`false`); returns the previous selection. Both produce
-/// identical `found`/`rank`/`cost` — this exists for the identity tests
-/// and the hotpath bench's scalar baseline column.
+/// identical `found`/`rank`/`cost` — this exists for the identity tests.
 pub fn set_scalar_kernel(on: bool) -> bool {
     SCALAR_KERNEL.swap(on, std::sync::atomic::Ordering::Relaxed)
 }
@@ -403,7 +401,8 @@ pub fn pipeline_depth() -> usize {
 /// Sets the sorted-batch pipeline depth (clamped to
 /// `[1, MAX_PIPELINE_DEPTH]`; `0` restores the default) and returns the
 /// previous raw setting. Results are depth-independent by construction;
-/// the hotpath bench uses depth 1 as its unpipelined baseline.
+/// the benchmark's `core.lookup.depth1_*` cells use depth 1 as the
+/// unpipelined baseline.
 pub fn set_pipeline_depth(depth: usize) -> usize {
     let clamped = depth.min(MAX_PIPELINE_DEPTH);
     PIPELINE_DEPTH.swap(clamped, std::sync::atomic::Ordering::Relaxed)

@@ -11,7 +11,7 @@
 //!
 //! ## Engines
 //!
-//! Three engines share the same gap/candidate machinery, all running on an
+//! Two engines share the same gap/candidate machinery, both running on an
 //! [`IncrementalOracle`] (moments maintained under insertion, no per-step
 //! rebuild):
 //!
@@ -26,17 +26,16 @@
 //!   re-evaluated only when they surface, taking the campaign toward
 //!   `O(n + p·log n)`. Loss landscapes drift as poison accumulates, so a
 //!   stale priority is a (tight, empirically reliable) estimate rather
-//!   than a proven bound: the lazy campaign is *near-exact* — the
-//!   `buildpath` bench and `tests/property_buildpath.rs` hold its final
-//!   loss against the exact engine — and exists for build-plane sweeps
-//!   where campaign generation dominates wall-clock;
-//! * [`greedy_poison_reference`] — the pre-optimization loop (oracle
-//!   rebuilt per step, gaps re-enumerated, keyset re-inserted), kept
-//!   callable as the bench's `O(p·n)` reference.
+//!   than a proven bound: the lazy campaign is *near-exact* —
+//!   `tests/property_buildpath.rs` holds its final loss against the exact
+//!   engine — and exists for build-plane sweeps where campaign generation
+//!   dominates wall-clock.
+//!
+//! The unit tests keep the pre-optimization loop (oracle rebuilt per step,
+//! gaps re-enumerated, keyset re-inserted) as the reference the exact
+//! engine is compared against.
 
 use crate::oracle::IncrementalOracle;
-use crate::single::optimal_single_point_with;
-use crate::PoisonOracle;
 use lis_core::error::{LisError, Result};
 use lis_core::keys::{Key, KeySet};
 use std::collections::BinaryHeap;
@@ -266,8 +265,8 @@ impl PartialOrd for LazyEntry {
 /// campaign commits to a slightly-suboptimal cluster the trajectories
 /// diverge. Measured final losses sit within a few percent of the exact
 /// engine (typically <1% on uniform/normal shapes, up to ~3% on the
-/// saturated lognormal head; `tests/property_buildpath.rs` and the
-/// `buildpath` bench hold the gap under 5%). Use [`greedy_poison`] when
+/// saturated lognormal head; `tests/property_buildpath.rs` holds the gap
+/// under 5%). Use [`greedy_poison`] when
 /// exact Algorithm-1 semantics matter more than build-plane wall-clock.
 pub fn greedy_poison_lazy(ks: &KeySet, budget: PoisonBudget) -> Result<GreedyPlan> {
     if ks.len() < 2 {
@@ -446,6 +445,8 @@ fn neighbourhood(slab: &[Option<(GapState, u32)>], centre: usize) -> Vec<usize> 
 /// moments, querying rank and suffix from the sorted blocks (the gap
 /// interior is empty, so one rank/suffix pair serves both endpoints).
 fn best_endpoint(oracle: &IncrementalOracle, gap: &GapState) -> (Key, f64) {
+    #[cfg(test)]
+    tests::REFRESHES.with(|n| n.set(n.get() + 1));
     let idx = oracle.rank_below(gap.lo);
     let suffix = oracle.suffix_sum_above(gap.hi);
     let lo_loss = oracle.loss_insert_with(gap.lo, idx, suffix);
@@ -460,43 +461,51 @@ fn best_endpoint(oracle: &IncrementalOracle, gap: &GapState) -> (Key, f64) {
     }
 }
 
-/// The pre-optimization greedy loop — oracle rebuilt from scratch and gaps
-/// re-enumerated on every step, the keyset re-sorted-inserted per accepted
-/// point — kept callable as the `buildpath` bench's `O(p·n)` campaign
-/// reference (the attack-plane analogue of `lookup_each_into`).
-pub fn greedy_poison_reference(ks: &KeySet, budget: PoisonBudget) -> Result<GreedyPlan> {
-    if ks.len() < 2 {
-        return Err(LisError::DegenerateRegression { n: ks.len() });
-    }
-    let clean_mse = PoisonOracle::new(ks).clean_mse();
-    let mut current = ks.clone();
-    let mut keys = Vec::with_capacity(budget.count);
-    let mut losses = Vec::with_capacity(budget.count);
-    for _ in 0..budget.count {
-        let oracle = PoisonOracle::new(&current);
-        match optimal_single_point_with(&current, &oracle) {
-            Ok(plan) => {
-                current.insert(plan.key)?;
-                keys.push(plan.key);
-                losses.push(plan.poisoned_mse);
-            }
-            Err(LisError::NoPoisoningCandidates) => break,
-            Err(e) => return Err(e),
-        }
-    }
-    Ok(GreedyPlan {
-        keys,
-        losses,
-        clean_mse,
-    })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::single::optimal_single_point_with;
+    use crate::PoisonOracle;
+    use std::cell::Cell;
+
+    thread_local! {
+        /// `best_endpoint` calls on this thread: every gap evaluation the
+        /// lazy engine makes after its initial heap fill.
+        pub(super) static REFRESHES: Cell<usize> = const { Cell::new(0) };
+    }
 
     fn uniform(n: u64, step: u64) -> KeySet {
         KeySet::from_keys((0..n).map(|i| i * step).collect()).unwrap()
+    }
+
+    /// The pre-optimization greedy loop — oracle rebuilt from scratch and
+    /// gaps re-enumerated on every step, the keyset re-sorted-inserted per
+    /// accepted point: the `O(p·n)` reference the exact engine must match.
+    fn greedy_poison_reference(ks: &KeySet, budget: PoisonBudget) -> Result<GreedyPlan> {
+        if ks.len() < 2 {
+            return Err(LisError::DegenerateRegression { n: ks.len() });
+        }
+        let clean_mse = PoisonOracle::new(ks).clean_mse();
+        let mut current = ks.clone();
+        let mut keys = Vec::with_capacity(budget.count);
+        let mut losses = Vec::with_capacity(budget.count);
+        for _ in 0..budget.count {
+            let oracle = PoisonOracle::new(&current);
+            match optimal_single_point_with(&current, &oracle) {
+                Ok(plan) => {
+                    current.insert(plan.key)?;
+                    keys.push(plan.key);
+                    losses.push(plan.poisoned_mse);
+                }
+                Err(LisError::NoPoisoningCandidates) => break,
+                Err(e) => return Err(e),
+            }
+        }
+        Ok(GreedyPlan {
+            keys,
+            losses,
+            clean_mse,
+        })
     }
 
     #[test]
@@ -673,5 +682,33 @@ mod tests {
             let poisoned = lazy.poisoned_keyset(&ks).unwrap();
             assert_eq!(poisoned.len(), ks.len() + lazy.keys.len());
         }
+    }
+
+    #[test]
+    fn lazy_refreshes_per_point_do_not_grow_with_n() {
+        // The exact engine evaluates every gap per step, so its per-point
+        // work grows linearly with n. The lazy engine's must not: at 4×
+        // the keys and the same budget, it may make at most 2.5× the gap
+        // evaluations per placed point. Counting evaluations instead of
+        // timing them makes this deterministic at any scale.
+        let jittered = |n: u64| {
+            let keys = (0..n).map(|i| i * 10 + (i.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 61));
+            KeySet::from_keys(keys.collect()).unwrap()
+        };
+        let budget = PoisonBudget::keys(200);
+        let per_point = |ks: &KeySet| {
+            REFRESHES.with(|n| n.set(0));
+            let plan = greedy_poison_lazy(ks, budget).unwrap();
+            assert_eq!(plan.keys.len(), budget.count);
+            REFRESHES.with(Cell::get) as f64 / budget.count as f64
+        };
+        let (small, large) = (jittered(5_000), jittered(20_000));
+        let (at_n, at_4n) = (per_point(&small), per_point(&large));
+        assert!(
+            at_4n <= 2.5 * at_n,
+            "lazy refreshes per point scaled with n: {at_n:.1} at 5k keys, {at_4n:.1} at 20k"
+        );
+        // And far below the exact engine's one evaluation per gap per step.
+        assert!(at_4n < large.len() as f64 / 10.0, "{at_4n:.1} per point");
     }
 }

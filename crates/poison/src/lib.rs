@@ -18,8 +18,8 @@
 //! * [`single`] — the optimal single-point attack (gap endpoints, O(n));
 //! * [`loss_sequence`] — the full `L(kp)` sequence and its discrete
 //!   derivative (Figure 3, Theorem 2);
-//! * [`greedy`] — greedy multi-point poisoning (Algorithm 1), with exact,
-//!   lazy-heap, and kept-callable reference engines;
+//! * [`greedy`] — greedy multi-point poisoning (Algorithm 1), with exact
+//!   and lazy-heap engines;
 //! * [`bruteforce`] — exhaustive baselines used for validation;
 //! * [`rmi_attack`](mod@rmi_attack) — the two-stage RMI attack with greedy volume
 //!   allocation and CHANGELOSS neighbour exchanges (Algorithm 2).
@@ -57,8 +57,7 @@ pub use attack::{
 };
 pub use blackbox::{blackbox_rmi_attack, infer_leaf_models, BlackboxOutcome};
 pub use greedy::{
-    greedy_poison, greedy_poison_lazy, greedy_poison_reference, greedy_poison_sorted, GreedyPlan,
-    PoisonBudget,
+    greedy_poison, greedy_poison_lazy, greedy_poison_sorted, GreedyPlan, PoisonBudget,
 };
 pub use loss_sequence::LossSequence;
 pub use oracle::{IncrementalOracle, PoisonOracle};

@@ -275,7 +275,7 @@ fn parse_snapshot_name(name: &str) -> Option<u64> {
 /// The writer thread's handle on one durable directory: the open WAL,
 /// the LSN counter, and the checkpoint cadence. Constructed through
 /// [`Durability`] (the server path) or [`DurableStore::bootstrap`]
-/// directly (tests, the property harness, the durability bench).
+/// directly (tests, the property harness, the benchmark).
 pub struct DurableStore {
     dir: PathBuf,
     wal: File,

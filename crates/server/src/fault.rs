@@ -4,8 +4,8 @@
 //! A [`FaultInjector`] is threaded through the worker and writer loops.
 //! Disabled (the default, [`FaultInjector::disabled`]) it is a single
 //! `Option` branch per check site — no allocation, no atomics, no clock
-//! reads — so the hot path measured by `BENCH_hotpath.json` and the
-//! zero-alloc gate is untouched. Enabled, every decision is a pure
+//! reads — so the hot path the benchmark's `serve_read` workload measures
+//! and the zero-alloc gate is untouched. Enabled, every decision is a pure
 //! function of `(seed, site, stream, event)` hashed through SplitMix64:
 //! the *n*-th flush of the writer or the *n*-th batch of worker *w*
 //! fires (or not) identically on every run with the same seed,

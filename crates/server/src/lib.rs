@@ -38,8 +38,7 @@
 //!
 //! One serve code path covers both offline experiments (the `lis`
 //! pipeline's batched measurements run through [`Server::serve_all`]) and
-//! the live latency-vs-throughput harness (`lis-cli serve-bench`, the
-//! `serving_latency` bench).
+//! the live latency-vs-throughput harness (`lis-cli serve-bench`).
 //!
 //! ## Example
 //!

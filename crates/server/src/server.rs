@@ -569,8 +569,7 @@ impl ServeReport {
     }
 
     /// Millions of lookups per second over the session, from the shared
-    /// served counter — the unit the `hotpath` microbench reports, so
-    /// served throughput and raw index throughput compare directly.
+    /// served counter.
     pub fn mlookups_per_s(&self) -> f64 {
         self.throughput() / 1e6
     }
@@ -1597,6 +1596,7 @@ fn kill_write_plane(pending: &mut Vec<Arc<ResponseSlot<WriteStatus>>>, shared: &
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::durability::DurabilityLevel;
     use crate::write::AdmitAll;
     use lis_core::index::IndexRegistry;
     use lis_core::keys::KeySet;
@@ -2221,66 +2221,81 @@ mod tests {
     /// LSNs, new writes, the persisted fault-schedule counter).
     #[test]
     fn durable_server_persists_acked_writes_across_restart() {
-        let scratch = ScratchDir::new("server-restart").unwrap();
-        let dir = scratch.path();
-        let domain = lis_core::keys::KeyDomain::new(0, 100_000_000).unwrap();
-        let ks = KeySet::new((0..500u64).map(|i| i * 7 + 3).collect(), domain).unwrap();
-        let registry = IndexRegistry::with_defaults();
-        let server = Server::builder(ServeConfig::offline().workers(1).write_batch(8))
-            .durability(Durability::dir(dir).snapshot_every(64))
-            .start_online(
-                ks.clone(),
-                move |ks| registry.build("btree", ks),
-                Box::new(AdmitAll),
-            )
-            .unwrap();
-        let handle = server.handle();
-        let mut acked = Vec::new();
-        for i in 0..40u64 {
-            let key = i * 7 + 4;
-            assert!(handle.write(WriteOp::Insert(key), 1).unwrap().is_applied());
-            acked.push(key);
-        }
-        let removed = ks.keys()[0];
-        assert!(handle
-            .write(WriteOp::Remove(removed), 1)
-            .unwrap()
-            .is_applied());
-        server.shutdown();
+        // Every fsync level keeps the same contract; levels differ only
+        // in how much of it a power loss (not a process exit) could void.
+        for level in [
+            DurabilityLevel::Batch,
+            DurabilityLevel::Window,
+            DurabilityLevel::None,
+        ] {
+            let scratch = ScratchDir::new(&format!("server-restart-{}", level.as_str())).unwrap();
+            let dir = scratch.path();
+            let domain = lis_core::keys::KeyDomain::new(0, 100_000_000).unwrap();
+            let ks = KeySet::new((0..500u64).map(|i| i * 7 + 3).collect(), domain).unwrap();
+            let registry = IndexRegistry::with_defaults();
+            let server = Server::builder(ServeConfig::offline().workers(1).write_batch(8))
+                .durability(Durability::dir(dir).level(level).snapshot_every(64))
+                .start_online(
+                    ks.clone(),
+                    move |ks| registry.build("btree", ks),
+                    Box::new(AdmitAll),
+                )
+                .unwrap();
+            let handle = server.handle();
+            let mut acked = Vec::new();
+            for i in 0..40u64 {
+                let key = i * 7 + 4;
+                assert!(handle.write(WriteOp::Insert(key), 1).unwrap().is_applied());
+                acked.push(key);
+            }
+            let removed = ks.keys()[0];
+            assert!(handle
+                .write(WriteOp::Remove(removed), 1)
+                .unwrap()
+                .is_applied());
+            server.shutdown();
 
-        let rec = crate::durability::recover(dir).unwrap();
-        let mut expect = ks.clone();
-        for &k in &acked {
-            expect.insert(k).unwrap();
-        }
-        expect.remove(removed).unwrap();
-        assert_eq!(rec.keyset.keys(), expect.keys(), "recovered != live");
-        // Clean shutdown checkpointed, so the tail replays nothing.
-        assert_eq!(rec.replayed_records, 0);
+            let rec = crate::durability::recover(dir).unwrap();
+            let mut expect = ks.clone();
+            for &k in &acked {
+                expect.insert(k).unwrap();
+            }
+            expect.remove(removed).unwrap();
+            assert_eq!(
+                rec.keyset.keys(),
+                expect.keys(),
+                "{level:?}: recovered != live"
+            );
+            // Clean shutdown checkpointed, so the tail replays nothing.
+            assert_eq!(rec.replayed_records, 0);
 
-        // Resume the timeline under the same directory.
-        let registry = IndexRegistry::with_defaults();
-        let resumed = Server::builder(ServeConfig::offline().workers(1).write_batch(8))
-            .durability(Durability::resume(dir, &rec))
-            .start_online(
-                rec.keyset.clone(),
-                move |ks| registry.build("btree", ks),
-                Box::new(AdmitAll),
-            )
-            .unwrap();
-        let handle = resumed.handle();
-        for &k in &acked {
-            assert!(handle.lookup(k).unwrap().found, "lost acked write {k}");
+            // Resume the timeline under the same directory.
+            let registry = IndexRegistry::with_defaults();
+            let resumed = Server::builder(ServeConfig::offline().workers(1).write_batch(8))
+                .durability(Durability::resume(dir, &rec).level(level))
+                .start_online(
+                    rec.keyset.clone(),
+                    move |ks| registry.build("btree", ks),
+                    Box::new(AdmitAll),
+                )
+                .unwrap();
+            let handle = resumed.handle();
+            for &k in &acked {
+                assert!(
+                    handle.lookup(k).unwrap().found,
+                    "{level:?}: lost acked write {k}"
+                );
+            }
+            assert!(!handle.lookup(removed).unwrap().found);
+            assert!(handle
+                .write(WriteOp::Insert(99_999_999), 1)
+                .unwrap()
+                .is_applied());
+            resumed.shutdown();
+            let rec2 = crate::durability::recover(dir).unwrap();
+            assert!(rec2.keyset.contains(99_999_999));
+            assert!(rec2.last_lsn > rec.last_lsn, "resumed LSNs must advance");
         }
-        assert!(!handle.lookup(removed).unwrap().found);
-        assert!(handle
-            .write(WriteOp::Insert(99_999_999), 1)
-            .unwrap()
-            .is_applied());
-        resumed.shutdown();
-        let rec2 = crate::durability::recover(dir).unwrap();
-        assert!(rec2.keyset.contains(99_999_999));
-        assert!(rec2.last_lsn > rec.last_lsn, "resumed LSNs must advance");
     }
 
     /// A storage kill (`crash_after_append` at p=1) is NOT a writer

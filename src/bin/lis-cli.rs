@@ -9,9 +9,7 @@
 //! lis-cli inspect --in keys.txt --index rmi,btree,pla
 //! lis-cli pipeline --dist lognormal --keys 5000 --attack rmi --defense trim --index rmi,btree
 //! lis-cli serve-bench --keys 100000 --index rmi,btree --attack-ratio 0,0.5 --workers 4
-//! lis-cli bench-build --keys 1000000 --index rmi,deep-rmi,pla,btree
 //! lis-cli chaos --keys 100000 --scenario worker-panic --seed 7
-//! lis-cli durability --keys 100000 --writes 2048 --seed 7
 //! lis-cli list-indexes
 //! ```
 //!
@@ -53,9 +51,6 @@ fn main() -> ExitCode {
         "serve-bench" => cmd_serve_bench(&flags),
         "serve-online" => cmd_serve_online(&flags),
         "chaos" => cmd_chaos(&flags),
-        "durability" => cmd_durability(&flags),
-        "bench-hotpath" => cmd_bench_hotpath(&flags),
-        "bench-build" => cmd_bench_build(&flags),
         "list-indexes" => cmd_list_indexes(),
         "help" | "--help" | "-h" => {
             println!("{USAGE}");
@@ -156,33 +151,6 @@ COMMANDS:
                            delayed-publish | writer-crash | rollback |
                            kill-recover | torn-tail)
       --out FILE          JSON report path             [BENCH_chaos.json]
-
-  durability          WAL fsync-level grid + kill-and-recover acceptance
-      --keys N            base keyset size                        [100000]
-      --density F         keyset density in (0, 1]                   [0.1]
-      --index NAME        served registry name                       [rmi]
-      --writes N          durable inserts per cell                  [2048]
-      --workers W         serving worker threads                       [2]
-      --seed S            kill-schedule seed (or LIS_CHAOS_SEED)
-      --out FILE          JSON report path        [BENCH_durability.json]
-
-  bench-hotpath       read-hot-path microbench: ns/lookup + Mlookups/s grid
-      --keys N            keyset size                            [1000000]
-      --batch B           probes per batch                         [16384]
-      --rounds R          timing rounds (best reported)                [3]
-      --poison-pct P      Algorithm-2 poison budget percentage        [10]
-      --seed S            workload/attack RNG seed                    [42]
-      --index NAMES       comma-separated registry names
-                                     [rmi,deep-rmi,pla,btree,sharded:rmi:8]
-      --out FILE          JSON baseline path          [BENCH_hotpath.json]
-
-  bench-build         build-plane microbench: index training + campaign generation
-      --keys N            keyset size (campaigns also run at N/4)  [1000000]
-      --rounds R          timing rounds per build variant (best)        [3]
-      --seed S            workload RNG seed                            [42]
-      --points P          large campaign budget (marginal vs 32)      [232]
-      --index NAMES       comma-separated names      [rmi,deep-rmi,pla,btree]
-      --out FILE          JSON baseline path            [BENCH_build.json]
 
   list-indexes        print the registered index names
 
@@ -546,51 +514,6 @@ fn cmd_serve_bench(flags: &Flags) -> Result<(), String> {
     Ok(())
 }
 
-fn cmd_bench_hotpath(flags: &Flags) -> Result<(), String> {
-    use lis::hotpath::{run_hotpath, HotpathConfig};
-
-    let defaults = HotpathConfig::default();
-    let indexes: Vec<String> = match flags.get("index") {
-        Some(names) => names
-            .split(',')
-            .map(str::trim)
-            .filter(|s| !s.is_empty())
-            .map(String::from)
-            .collect(),
-        None => defaults.indexes.clone(),
-    };
-    if indexes.is_empty() {
-        return Err("--index needs at least one registry name".into());
-    }
-    let cfg = HotpathConfig {
-        keys: flag(flags, "keys", defaults.keys)?,
-        batch: flag(flags, "batch", defaults.batch)?,
-        rounds: flag(flags, "rounds", defaults.rounds)?,
-        poison_pct: flag(flags, "poison-pct", defaults.poison_pct)?,
-        seed: flag(flags, "seed", defaults.seed)?,
-        indexes,
-    };
-    println!(
-        "hotpath: {} keys, batch {}, best of {} rounds, {}% poison",
-        cfg.keys, cfg.batch, cfg.rounds, cfg.poison_pct
-    );
-    let report = run_hotpath(&cfg).map_err(|e| e.to_string())?;
-    println!(
-        "campaign: {} poison keys, ratio loss {:.1}x\n",
-        report.poison_keys, report.ratio_loss
-    );
-    report.table().print();
-    let out = flags
-        .get("out")
-        .cloned()
-        .unwrap_or_else(|| "BENCH_hotpath.json".into());
-    report
-        .write_json(std::path::Path::new(&out))
-        .map_err(|e| format!("writing {out}: {e}"))?;
-    println!("\nwrote {out}");
-    Ok(())
-}
-
 fn cmd_serve_online(flags: &Flags) -> Result<(), String> {
     use lis::online::{run_online, OnlineConfig};
 
@@ -709,125 +632,6 @@ fn cmd_chaos(flags: &Flags) -> Result<(), String> {
     } else {
         Err(format!("{} chaos gate violation(s)", violations.len()))
     }
-}
-
-fn cmd_durability(flags: &Flags) -> Result<(), String> {
-    use lis::durability::{run_durability, DurabilityBenchConfig};
-
-    let defaults = DurabilityBenchConfig::default();
-    let cfg = DurabilityBenchConfig {
-        keys: flag(flags, "keys", defaults.keys)?,
-        density: flag(flags, "density", defaults.density)?,
-        index: flags.get("index").cloned().unwrap_or(defaults.index),
-        writes: flag(flags, "writes", defaults.writes)?,
-        workers: flag(flags, "workers", defaults.workers)?,
-        seed: flag(flags, "seed", defaults.seed)?,
-    };
-    println!(
-        "durability: {} keys ({}), {} writes per cell, seed {:#x}\n",
-        cfg.keys, cfg.index, cfg.writes, cfg.seed
-    );
-    let report = run_durability(&cfg).map_err(|e| e.to_string())?;
-    println!(
-        "{:<8} {:>7} {:>10} {:>9} {:>8} {:>12} {:>10} {:>7} {:>6}",
-        "cell",
-        "acked",
-        "writes/s",
-        "recov_ms",
-        "replayed",
-        "replay_ops/s",
-        "wal_bytes",
-        "killed",
-        "lost"
-    );
-    for c in &report.cells {
-        println!(
-            "{:<8} {:>7} {:>10.1} {:>9.2} {:>8} {:>12.1} {:>10} {:>7} {:>6}",
-            c.name,
-            c.writes_acked,
-            c.writes_per_s(),
-            c.recover_ms,
-            c.replayed_ops,
-            c.replay_ops_per_s(),
-            c.wal_bytes,
-            c.killed,
-            c.lost_acked
-        );
-    }
-    let violations = report.violations();
-    if violations.is_empty() {
-        println!("\nall durability gates hold");
-    } else {
-        println!("\ngate violations:");
-        for v in &violations {
-            println!("  {v}");
-        }
-    }
-    let out = flags
-        .get("out")
-        .cloned()
-        .unwrap_or_else(|| "BENCH_durability.json".into());
-    report
-        .write_json(std::path::Path::new(&out))
-        .map_err(|e| format!("writing {out}: {e}"))?;
-    println!("\nwrote {out}");
-    if violations.is_empty() {
-        Ok(())
-    } else {
-        Err(format!("{} durability gate violation(s)", violations.len()))
-    }
-}
-
-fn cmd_bench_build(flags: &Flags) -> Result<(), String> {
-    use lis::buildpath::{run_buildpath, BuildpathConfig};
-
-    let defaults = BuildpathConfig::default();
-    let indexes: Vec<String> = match flags.get("index") {
-        Some(names) => names
-            .split(',')
-            .map(str::trim)
-            .filter(|s| !s.is_empty())
-            .map(String::from)
-            .collect(),
-        None => defaults.indexes.clone(),
-    };
-    if indexes.is_empty() {
-        return Err("--index needs at least one name".into());
-    }
-    let cfg = BuildpathConfig {
-        keys: flag(flags, "keys", defaults.keys)?,
-        rounds: flag(flags, "rounds", defaults.rounds)?,
-        seed: flag(flags, "seed", defaults.seed)?,
-        campaign_points: flag(flags, "points", defaults.campaign_points)?,
-        indexes,
-    };
-    println!(
-        "buildpath: {} keys (campaigns also at {}), best of {} rounds, budgets 32/{}",
-        cfg.keys,
-        cfg.keys / 4,
-        cfg.rounds,
-        cfg.campaign_points
-    );
-    let report = run_buildpath(&cfg).map_err(|e| e.to_string())?;
-    report.table().print();
-    if let (Some(lazy), Some(reference)) = (
-        report.marginal_scaling("greedy-lazy"),
-        report.marginal_scaling("greedy-reference"),
-    ) {
-        println!(
-            "\ncampaign marginal scaling over 4x keys (linear = 4.0): \
-             reference {reference:.2}, lazy {lazy:.2}"
-        );
-    }
-    let out = flags
-        .get("out")
-        .cloned()
-        .unwrap_or_else(|| "BENCH_build.json".into());
-    report
-        .write_json(std::path::Path::new(&out))
-        .map_err(|e| format!("writing {out}: {e}"))?;
-    println!("\nwrote {out}");
-    Ok(())
 }
 
 fn cmd_list_indexes() -> Result<(), String> {
@@ -1075,74 +879,6 @@ mod tests {
 
         flags.insert("scenario".into(), "nope".into());
         assert!(cmd_chaos(&flags).is_err());
-    }
-
-    #[test]
-    fn durability_command_runs_the_grid_and_writes_json() {
-        let dir = ScratchDir::new("cli-durability").unwrap();
-        let out = dir
-            .path()
-            .join("BENCH_durability.json")
-            .to_string_lossy()
-            .to_string();
-        let mut flags = Flags::new();
-        flags.insert("keys".into(), "3000".into());
-        flags.insert("writes".into(), "96".into());
-        flags.insert("workers".into(), "2".into());
-        flags.insert("seed".into(), "61453".into()); // 0xF00D
-        flags.insert("out".into(), out.clone());
-        cmd_durability(&flags).unwrap();
-        let json = std::fs::read_to_string(&out).unwrap();
-        assert!(json.contains("\"bench\": \"durability\""));
-        assert!(json.contains("\"name\": \"kill\""));
-        assert!(json.contains("\"recovered_matches_live\": true"));
-    }
-
-    #[test]
-    fn bench_hotpath_writes_json_baseline() {
-        let dir = ScratchDir::new("cli-hotpath").unwrap();
-        let out = dir
-            .path()
-            .join("BENCH_hotpath.json")
-            .to_string_lossy()
-            .to_string();
-        let mut flags = Flags::new();
-        flags.insert("keys".into(), "3000".into());
-        flags.insert("batch".into(), "256".into());
-        flags.insert("rounds".into(), "1".into());
-        flags.insert("index".into(), "rmi,btree".into());
-        flags.insert("out".into(), out.clone());
-        cmd_bench_hotpath(&flags).unwrap();
-        let json = std::fs::read_to_string(&out).unwrap();
-        assert!(json.contains("\"bench\": \"hotpath\""));
-        assert_eq!(json.matches("\"index\"").count(), 4);
-
-        flags.insert("index".into(), " ".into());
-        assert!(cmd_bench_hotpath(&flags).is_err());
-    }
-
-    #[test]
-    fn bench_build_writes_json_baseline() {
-        let dir = ScratchDir::new("cli-buildpath").unwrap();
-        let out = dir
-            .path()
-            .join("BENCH_build.json")
-            .to_string_lossy()
-            .to_string();
-        let mut flags = Flags::new();
-        flags.insert("keys".into(), "6000".into());
-        flags.insert("rounds".into(), "1".into());
-        flags.insert("points".into(), "48".into());
-        flags.insert("index".into(), "rmi,btree".into());
-        flags.insert("out".into(), out.clone());
-        cmd_bench_build(&flags).unwrap();
-        let json = std::fs::read_to_string(&out).unwrap();
-        assert!(json.contains("\"bench\": \"buildpath\""));
-        assert!(json.contains("\"build_speedup\""));
-        assert!(json.contains("\"marginal_ns_per_point\""));
-
-        flags.insert("index".into(), " ".into());
-        assert!(cmd_bench_build(&flags).is_err());
     }
 
     #[test]

@@ -25,19 +25,13 @@
 //!   defended harness behind `BENCH_online.json`;
 //! * [`pipeline`] — the workload → attack → defense → index → report
 //!   builder composing all of the above, measuring through [`server`];
-//! * [`hotpath`] — the read-hot-path microbenchmark engine producing the
-//!   repo's machine-readable read-path baseline (`BENCH_hotpath.json`);
-//! * [`buildpath`] — its build-plane sibling: index-training and
-//!   campaign-generation timings, with output-identity verification,
-//!   producing `BENCH_build.json`;
 //! * [`chaos`] — the robustness ladder: deterministic fault injection
 //!   (see [`lis_server::fault`]) against the live server, scored on
 //!   availability, correctness under faults, recovery time, and
-//!   attack-triggered epoch rollback, producing `BENCH_chaos.json`;
-//! * [`durability`] — the durability grid: the write-ahead-log fsync
-//!   levels (see [`lis_server::durability`]) under identical load, plus
-//!   a kill-and-recover cell, scored on acked-write survival, recovery
-//!   time, and replay throughput, producing `BENCH_durability.json`.
+//!   attack-triggered epoch rollback, producing `BENCH_chaos.json`.
+//!
+//! Wall-clock performance is measured by the separate `benchmark/`
+//! package, not by this crate.
 //!
 //! ## End-to-end example
 //!
@@ -71,22 +65,14 @@ pub use lis_poison as poison;
 pub use lis_server as server;
 pub use lis_workloads as workloads;
 
-pub mod buildpath;
 pub mod chaos;
-pub mod durability;
-pub mod hotpath;
 pub mod pipeline;
 
 /// Convenience prelude importing the types used by almost every experiment.
 pub mod prelude {
-    pub use crate::buildpath::{run_buildpath, BuildpathConfig, BuildpathReport};
     pub use crate::chaos::{
         run_chaos, run_chaos_scenario, ChaosConfig, ChaosReport, ChaosScenarioReport,
     };
-    pub use crate::durability::{
-        run_durability, DurabilityBenchConfig, DurabilityCellReport, DurabilityReport,
-    };
-    pub use crate::hotpath::{run_hotpath, HotpathConfig, HotpathReport};
     pub use crate::pipeline::{BuildCache, Pipeline, PipelineReport, WorkloadSpec};
     pub use lis_core::btree::BPlusTree;
     pub use lis_core::index::{DynIndex, IndexRegistry, LearnedIndex, Lookup};

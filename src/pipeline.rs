@@ -823,8 +823,14 @@ mod tests {
             "rmi loss ratio {}",
             rmi.loss_ratio()
         );
-        // The B+-tree fits no model: loss stays zero either way.
+        // The B+-tree fits no model: loss stays zero either way, and its
+        // served cost barely moves.
         assert_eq!(btree.final_loss, 0.0);
+        assert!(
+            (btree.cost_ratio() - 1.0).abs() < 0.05,
+            "btree cost ratio {}",
+            btree.cost_ratio()
+        );
     }
 
     #[test]

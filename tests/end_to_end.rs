@@ -36,33 +36,40 @@ fn poisoned_index_still_answers_every_query() {
 
 #[test]
 fn poisoning_increases_lookup_cost() {
-    let mut rng = trial_rng(2, 0);
     let domain = domain_for_density(5_000, 0.1).unwrap();
-    let clean = uniform_keys(&mut rng, 5_000, domain).unwrap();
+    for shape in ["uniform", "lognormal"] {
+        let mut rng = trial_rng(2, 0);
+        let clean = match shape {
+            "uniform" => uniform_keys(&mut rng, 5_000, domain),
+            _ => lognormal_keys(&mut rng, 5_000, domain),
+        }
+        .unwrap();
 
-    // Lookup cost counts the lane kernel's comparisons, which are
-    // quantized: a window one past a lane boundary descends once and pays
-    // a *shorter* tail, so the mild radius inflation of a 10% budget can
-    // vanish (or even read negative) in total comparisons — vectorization
-    // genuinely absorbs weak poisoning. The paper's upper budget of 20%
-    // widens windows past several descent steps and inflates robustly.
-    let res = rmi_attack(
-        &clean,
-        50,
-        &RmiAttackConfig::new(20.0).with_max_exchanges(16),
-    )
-    .unwrap();
-    let poisoned = res.poisoned_keyset(&clean).unwrap();
+        // Lookup cost counts the lane kernel's comparisons, which are
+        // quantized: a window one past a lane boundary descends once and
+        // pays a *shorter* tail, so the mild radius inflation of a 10%
+        // budget can vanish (or even read negative) in total comparisons —
+        // vectorization genuinely absorbs weak poisoning. The paper's upper
+        // budget of 20% widens windows past several descent steps and
+        // inflates robustly.
+        let res = rmi_attack(
+            &clean,
+            50,
+            &RmiAttackConfig::new(20.0).with_max_exchanges(16),
+        )
+        .unwrap();
+        let poisoned = res.poisoned_keyset(&clean).unwrap();
 
-    let before = Rmi::build(&clean, &RmiConfig::linear_root(50)).unwrap();
-    let after = Rmi::build(&poisoned, &RmiConfig::linear_root(50)).unwrap();
+        let before = Rmi::build(&clean, &RmiConfig::linear_root(50)).unwrap();
+        let after = Rmi::build(&poisoned, &RmiConfig::linear_root(50)).unwrap();
 
-    let cost = |rmi: &Rmi| -> usize { clean.keys().iter().map(|&k| rmi.lookup(k).cost).sum() };
-    let (c_before, c_after) = (cost(&before), cost(&after));
-    assert!(
-        c_after > c_before,
-        "poisoning should inflate lookup comparisons: {c_after} vs {c_before}"
-    );
+        let cost = |rmi: &Rmi| -> usize { clean.keys().iter().map(|&k| rmi.lookup(k).cost).sum() };
+        let (c_before, c_after) = (cost(&before), cost(&after));
+        assert!(
+            c_after > c_before,
+            "{shape}: poisoning should inflate lookup comparisons: {c_after} vs {c_before}"
+        );
+    }
 }
 
 #[test]

@@ -143,6 +143,44 @@ fn adversarial_mix_is_served_losslessly() {
     assert!(report.throughput() > 0.0);
 }
 
+/// The structural baseline shrugs off live attack traffic: a B+-tree's
+/// served mean cost with half the stream replaying campaign keys stays
+/// within 10% of its cost under benign traffic alone.
+#[test]
+fn btree_served_cost_is_flat_under_adversarial_replay() {
+    let ks = keyset(2_000);
+    let outcome = GreedyCdfAttack {
+        budget: PoisonBudget::keys(200),
+    }
+    .run(&ks)
+    .unwrap();
+    let index = Arc::new(
+        IndexRegistry::with_defaults()
+            .build("btree", &outcome.poisoned)
+            .unwrap(),
+    );
+    let served_cost = |ratio: f64| {
+        let server = Server::start(Arc::clone(&index), ServeConfig::new().workers(2));
+        let sources: Vec<Box<dyn TrafficSource>> = (0..2)
+            .map(|c| {
+                Box::new(MixedSource::new(
+                    BenignSource::new(ks.keys().to_vec(), c).unwrap(),
+                    ReplaySource::new(outcome.inserted.clone()).unwrap(),
+                    ratio,
+                    c + 77,
+                )) as Box<dyn TrafficSource>
+            })
+            .collect();
+        drive(&server, sources, 1_000).unwrap();
+        server.shutdown().mean_cost()
+    };
+    let drift = served_cost(0.5) / served_cost(0.0);
+    assert!(
+        (drift - 1.0).abs() < 0.1,
+        "btree served cost moved {drift:.3}x under 50% attack traffic"
+    );
+}
+
 /// The pipeline's measurement path and a hand-driven server session agree:
 /// one serve code path, one answer.
 #[test]
