@@ -51,6 +51,12 @@
 //!   and benches included, outside `crates/core/src/scratch.rs`: a scratch
 //!   directory comes from `ScratchDir`, unique per call, because two
 //!   fixed names collide under parallel test threads.
+//! * **`no-prod-sleep`** — no `thread::sleep` in non-test code of the
+//!   root package's and the member crates' `src/` trees (the `lis_check`
+//!   facade and the `shims` exempt): a sleep that stands in for an event
+//!   is a poll, slow when the event is early and wrong when it is late.
+//!   Injected fault delays, retry backoff and deliberate pacing carry an
+//!   inline allow saying which they are.
 //! * **`registry-complete`** — every `impl LearnedIndex for T` in
 //!   `lis-core` has its type constructed in
 //!   `IndexRegistry::with_defaults`, so new structures are reachable by
@@ -105,7 +111,7 @@ pub struct AnalysisReport {
 }
 
 /// The rule slugs this pass enforces, in report order.
-pub const RULES: [&str; 12] = [
+pub const RULES: [&str; 13] = [
     "zero-alloc",
     "thread-discipline",
     "condvar-predicate",
@@ -116,6 +122,7 @@ pub const RULES: [&str; 12] = [
     "wake-through-signal",
     "shared-key-array",
     "scratch-dir",
+    "no-prod-sleep",
     "registry-complete",
     "forbid-unsafe",
 ];
@@ -415,6 +422,8 @@ fn run_line_rules(
         relpath,
         "crates/server/src/server.rs" | "crates/server/src/durability.rs"
     );
+    let sleep_policed =
+        !relpath.starts_with("crates/check/src/") && !relpath.starts_with("crates/shims/");
     let epoch_victim = matches!(
         relpath,
         "crates/core/src/rmi.rs" | "crates/core/src/deep_rmi.rs" | "crates/core/src/pla.rs"
@@ -605,6 +614,22 @@ fn run_line_rules(
                 lineno,
                 "`.keys().to_vec()` copies every key on every build — store \
                  `KeySet::shared_keys()` instead"
+                    .to_string(),
+            );
+        }
+
+        // no-prod-sleep: a sleep standing in for an event.
+        if sleep_policed && has_token(code, "thread::sleep(") {
+            push_violation(
+                scan,
+                violations,
+                allowed,
+                "no-prod-sleep",
+                relpath,
+                lineno,
+                "`thread::sleep` in production code — wait on the event (a `Signal`, a \
+                 ticket, a join) instead of polling for it, or justify a fault delay, \
+                 backoff or pacing with an allow"
                     .to_string(),
             );
         }

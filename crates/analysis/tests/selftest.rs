@@ -159,10 +159,37 @@ const VIOLATING_SCRATCH_FILE: &str = concat!(
     "}\n",
 );
 
+/// A poll-and-sleep loop beside an allowed injected delay and a test
+/// module's sleep, which is exempt.
+const VIOLATING_SLEEP_FILE: &str = r#"
+pub fn poll(ready: &AtomicBool) {
+    while !ready.load(Ordering::Acquire) {
+        std::thread::sleep(Duration::from_micros(50));
+    }
+}
+
+pub fn inject(delay: Duration) {
+    // lis-analysis: allow(no-prod-sleep) — injected fault delay.
+    std::thread::sleep(delay);
+}
+
+#[cfg(test)]
+mod tests {
+    #[test]
+    fn tests_may_sleep() {
+        std::thread::sleep(Duration::from_millis(1));
+    }
+}
+"#;
+
 #[test]
 fn violating_tree_trips_every_rule() {
     let root = scratch_root("violating");
     write(&root, "src/lib.rs", "pub fn ok() {}\n");
+    write(&root, "src/poll.rs", VIOLATING_SLEEP_FILE);
+    // The model checker's facade and the shims are exempt.
+    write(&root, "crates/check/src/thread.rs", VIOLATING_SLEEP_FILE);
+    write(&root, "crates/shims/rand/src/lib.rs", VIOLATING_SLEEP_FILE);
     write(&root, "crates/server/src/bad.rs", VIOLATING_SERVER_FILE);
     write(
         &root,
@@ -319,6 +346,16 @@ fn violating_tree_trips_every_rule() {
         .map(|v| (v.file.as_str(), v.line))
         .collect();
     assert_eq!(scratch, vec![("tests/fixture.rs", 3)]);
+
+    // Only the production poll is flagged: not the allowed delay, the test
+    // module's sleep, or the exempt crates'.
+    let sleeps: Vec<(&str, usize)> = report
+        .violations
+        .iter()
+        .filter(|v| v.rule == "no-prod-sleep")
+        .map(|v| (v.file.as_str(), v.line))
+        .collect();
+    assert_eq!(sleeps, vec![("src/poll.rs", 4)]);
 
     // The orphan index type is flagged; the registered one is not.
     let registry: Vec<&str> = report

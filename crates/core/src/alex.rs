@@ -277,16 +277,6 @@ impl LearnedIndex for AlexIndex {
         AlexIndex::lookup(self, key)
     }
 
-    /// Native in-place insert — the write-plane fast path (no rebuild).
-    fn try_insert(&mut self, key: Key) -> Result<()> {
-        AlexIndex::insert(self, key)
-    }
-
-    /// Native in-place remove — the write-plane fast path (no rebuild).
-    fn try_remove(&mut self, key: Key) -> Result<()> {
-        AlexIndex::remove(self, key)
-    }
-
     /// The gapped-array leaves track no regression loss; zero by definition.
     fn loss(&self) -> f64 {
         0.0
@@ -532,17 +522,6 @@ mod tests {
         idx.insert(1).unwrap();
         assert!(idx.contains(1));
         assert_eq!(idx.len(), 297);
-    }
-
-    #[test]
-    fn write_surface_routes_to_native_ops() {
-        use crate::index::LearnedIndex;
-        let ks = uniform(100, 10);
-        let mut idx = AlexIndex::build(&ks, AlexConfig::default()).unwrap();
-        LearnedIndex::try_insert(&mut idx, 5).unwrap();
-        assert!(idx.contains(5));
-        LearnedIndex::try_remove(&mut idx, 5).unwrap();
-        assert!(!idx.contains(5));
     }
 
     #[test]

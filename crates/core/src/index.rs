@@ -283,35 +283,6 @@ pub trait LearnedIndex: Sized {
         out
     }
 
-    /// Inserts one key in place — the fallible write surface of the online
-    /// serving plane.
-    ///
-    /// Updatable structures (ALEX gapped arrays) override this with their
-    /// native insert; statically trained structures keep the default,
-    /// which fails with [`LisError::Unsupported`] so callers (the epoch
-    /// manager of `lis-server`) know to rebuild from the authoritative
-    /// keyset instead. Implementations must reject duplicates with
-    /// [`LisError::DuplicateKey`] and leave the structure unchanged on any
-    /// error.
-    fn try_insert(&mut self, key: Key) -> Result<()> {
-        let _ = key;
-        Err(LisError::Unsupported(
-            "in-place insert on a statically trained index (rebuild per epoch instead)".into(),
-        ))
-    }
-
-    /// Removes one key in place — counterpart of
-    /// [`LearnedIndex::try_insert`], with the same contract: updatable
-    /// structures override it, static ones fail with
-    /// [`LisError::Unsupported`], and a missing key is
-    /// [`LisError::KeyNotFound`] with the structure unchanged.
-    fn try_remove(&mut self, key: Key) -> Result<()> {
-        let _ = key;
-        Err(LisError::Unsupported(
-            "in-place remove on a statically trained index (rebuild per epoch instead)".into(),
-        ))
-    }
-
     /// Training loss of the structure's model(s); `0.0` when model-free.
     fn loss(&self) -> f64;
 
@@ -342,12 +313,6 @@ pub trait ErasedIndex: Send + Sync {
     /// serve path, kept callable so benches and property tests can
     /// compare the optimized batch path against it.
     fn lookup_each_into(&self, keys: &[Key], out: &mut Vec<Lookup>);
-    /// Inserts one key in place; [`LisError::Unsupported`] on statically
-    /// trained structures (see [`LearnedIndex::try_insert`]).
-    fn try_insert(&mut self, key: Key) -> Result<()>;
-    /// Removes one key in place; [`LisError::Unsupported`] on statically
-    /// trained structures (see [`LearnedIndex::try_remove`]).
-    fn try_remove(&mut self, key: Key) -> Result<()>;
     /// Training loss of the structure's model(s).
     fn loss(&self) -> f64;
     /// Estimated resident memory in bytes.
@@ -377,14 +342,6 @@ impl<T: LearnedIndex + Send + Sync> ErasedIndex for T {
         out.clear();
         out.reserve(keys.len());
         out.extend(keys.iter().map(|&k| LearnedIndex::lookup(self, k)));
-    }
-
-    fn try_insert(&mut self, key: Key) -> Result<()> {
-        LearnedIndex::try_insert(self, key)
-    }
-
-    fn try_remove(&mut self, key: Key) -> Result<()> {
-        LearnedIndex::try_remove(self, key)
     }
 
     fn loss(&self) -> f64 {
@@ -442,20 +399,6 @@ impl DynIndex {
     /// equivalence tests.
     pub fn lookup_each_into(&self, keys: &[Key], out: &mut Vec<Lookup>) {
         self.inner.lookup_each_into(keys, out)
-    }
-
-    /// Inserts one key in place through the wrapped structure's fallible
-    /// write surface; statically trained structures fail with
-    /// [`LisError::Unsupported`] (callers rebuild per epoch instead) —
-    /// no ad-hoc downcasting required.
-    pub fn try_insert(&mut self, key: Key) -> Result<()> {
-        self.inner.try_insert(key)
-    }
-
-    /// Removes one key in place; [`LisError::Unsupported`] on statically
-    /// trained structures. See [`DynIndex::try_insert`].
-    pub fn try_remove(&mut self, key: Key) -> Result<()> {
-        self.inner.try_remove(key)
     }
 
     /// Training loss of the wrapped index.
@@ -852,13 +795,12 @@ mod tests {
     }
 
     #[test]
-    fn pipelined_batch_is_depth_and_kernel_invariant() {
+    fn pipelined_batch_is_depth_invariant() {
         // The sorted-batch pipeline must be a pure scheduling change:
-        // every depth (including the unpipelined depth 1) and both window
-        // kernels (lane and its scalar twin) produce bit-identical
-        // found/rank/cost. Both knobs are process-global atomics, which is
-        // safe to toggle under parallel test execution *because* of this
-        // invariant.
+        // every depth (including the unpipelined depth 1) produces
+        // bit-identical found/rank/cost. The depth is a process-global
+        // atomic, which is safe to toggle under parallel test execution
+        // *because* of this invariant.
         let ks = keyset(700);
         let reg = IndexRegistry::with_defaults();
         let probes: Vec<Key> = ks
@@ -878,10 +820,6 @@ mod tests {
                 let prev = crate::search::set_pipeline_depth(depth);
                 idx.lookup_batch_into(&probes, &mut out);
                 assert_eq!(out, reference, "{name} depth {depth}");
-                let was_scalar = crate::search::set_scalar_kernel(true);
-                idx.lookup_batch_into(&probes, &mut out);
-                crate::search::set_scalar_kernel(was_scalar);
-                assert_eq!(out, reference, "{name} depth {depth} scalar");
                 idx.lookup_batch_into(&probes[..1], &mut out);
                 assert_eq!(out, reference[..1], "{name} depth {depth} batch-of-1");
                 idx.lookup_batch_into(&[], &mut out);

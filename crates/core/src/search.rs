@@ -20,11 +20,9 @@
 //! comparisons performed — lane work is **counted, not estimated** (a
 //! processed lane charges one comparison per element) — so `Lookup.cost`
 //! keeps the paper's comparison-count semantics no matter which search
-//! strategy answered.
-//!
-//! [`set_scalar_kernel`] swaps the lane tail for an element-at-a-time
-//! scalar loop with bit-identical results *and* comparison counts: the
-//! executable oracle behind the `vectorized ≡ scalar` identity tests.
+//! strategy answered. The unit tests pin the lane kernel against an
+//! element-at-a-time scalar oracle with bit-identical results *and*
+//! comparison counts for every window width.
 
 // lis-analysis: zone(zero-alloc)
 // Every routine in this file runs per-probe inside the serve loop; the
@@ -220,25 +218,6 @@ pub const LANE: usize = 8;
 /// chunk whenever the window was bigger than a lane to begin with.
 const LANE_TAIL: usize = 2 * LANE;
 
-/// When `true`, the window kernel runs its scalar-equivalent tail
-/// (element-at-a-time, identical counting) instead of the lane-chunked
-/// one. Results and comparison counts are bit-identical by construction —
-/// flipping this mid-flight can never change an answer — so a plain
-/// relaxed global is safe even with concurrent lookups.
-static SCALAR_KERNEL: std::sync::atomic::AtomicBool = std::sync::atomic::AtomicBool::new(false);
-
-/// Whether the scalar-equivalent window kernel is selected.
-pub fn scalar_kernel() -> bool {
-    SCALAR_KERNEL.load(std::sync::atomic::Ordering::Relaxed)
-}
-
-/// Selects the scalar-equivalent window kernel (`true`) or the lane
-/// kernel (`false`); returns the previous selection. Both produce
-/// identical `found`/`rank`/`cost` — this exists for the identity tests.
-pub fn set_scalar_kernel(on: bool) -> bool {
-    SCALAR_KERNEL.swap(on, std::sync::atomic::Ordering::Relaxed)
-}
-
 /// Lane-chunked lower bound: branchless halving while the candidate range
 /// exceeds [`LANE_TAIL`], then a count of the `≤ key` prefix over the
 /// remaining window in explicit [`LANE`]-wide chunks (plus a scalar
@@ -281,29 +260,6 @@ fn lane_lower_bound(keys: &[Key], key: Key) -> (usize, usize) {
     (base + le.saturating_sub(1), comparisons)
 }
 
-/// Scalar-equivalent twin of [`lane_lower_bound`]: the same halving
-/// descent and the same full-tail counting, one element at a time with no
-/// chunk structure. Identical result and identical comparison count for
-/// every input — the executable oracle the `vectorized ≡ scalar` identity
-/// tests compare against.
-fn lane_lower_bound_scalar(keys: &[Key], key: Key) -> (usize, usize) {
-    let mut base = 0usize;
-    let mut size = keys.len();
-    let mut comparisons = 0usize;
-    while size > LANE_TAIL {
-        let half = size / 2;
-        comparisons += 1;
-        base += usize::from(keys[base + half] <= key) * half;
-        size -= half;
-    }
-    let mut le = 0usize;
-    for &x in &keys[base..base + size] {
-        le += usize::from(x <= key);
-    }
-    comparisons += size;
-    (base + le.saturating_sub(1), comparisons)
-}
-
 /// The exact, data-independent comparison count of an in-window probe of
 /// `window_len` keys under the lane kernel: halving-descent steps, plus
 /// the final tail length, plus the one concluding three-way comparison.
@@ -331,14 +287,10 @@ pub fn lane_window_cost_bound(max_len: usize) -> usize {
 }
 
 /// The lane-kernel window probe behind [`bounded_search_with_fallback`]:
-/// lower bound (lane or scalar-equivalent tail, per [`scalar_kernel`])
-/// plus one final three-way comparison. Requires a non-empty slice.
+/// lane lower bound plus one final three-way comparison. Requires a
+/// non-empty slice.
 fn lane_probe(keys: &[Key], key: Key) -> (usize, std::cmp::Ordering, usize) {
-    let (base, comparisons) = if scalar_kernel() {
-        lane_lower_bound_scalar(keys, key)
-    } else {
-        lane_lower_bound(keys, key)
-    };
+    let (base, comparisons) = lane_lower_bound(keys, key);
     (base, keys[base].cmp(&key), comparisons + 1)
 }
 
@@ -760,18 +712,27 @@ mod tests {
         }
     }
 
-    /// A scoped guard flipping the kernel to scalar mode and restoring it
-    /// on drop, so identity tests cannot leak the flag.
-    struct ScalarGuard(bool);
-    impl ScalarGuard {
-        fn on() -> Self {
-            ScalarGuard(set_scalar_kernel(true))
+    /// Scalar oracle for [`lane_lower_bound`]: the same halving
+    /// descent and the same full-tail counting, one element at a time with no
+    /// chunk structure. Identical result and identical comparison count for
+    /// every input — the executable oracle the `vectorized ≡ scalar` identity
+    /// tests compare against.
+    fn lane_lower_bound_scalar(keys: &[Key], key: Key) -> (usize, usize) {
+        let mut base = 0usize;
+        let mut size = keys.len();
+        let mut comparisons = 0usize;
+        while size > LANE_TAIL {
+            let half = size / 2;
+            comparisons += 1;
+            base += usize::from(keys[base + half] <= key) * half;
+            size -= half;
         }
-    }
-    impl Drop for ScalarGuard {
-        fn drop(&mut self) {
-            set_scalar_kernel(self.0);
+        let mut le = 0usize;
+        for &x in &keys[base..base + size] {
+            le += usize::from(x <= key);
         }
+        comparisons += size;
+        (base + le.saturating_sub(1), comparisons)
     }
 
     #[test]
@@ -829,21 +790,6 @@ mod tests {
             assert_eq!(counts.len(), 1, "width {width} cost varied with data");
         }
         assert_eq!(lane_window_cost(0), 0);
-    }
-
-    #[test]
-    fn scalar_mode_is_bit_identical_to_lane_mode() {
-        let ks = keys();
-        let probes: Vec<Key> = (0..3_100u64).step_by(7).collect();
-        let mut lane_results = Vec::new();
-        for &k in &probes {
-            lane_results.push(bounded_search_with_fallback(&ks, k, 500, 20));
-        }
-        let _guard = ScalarGuard::on();
-        for (&k, lane) in probes.iter().zip(&lane_results) {
-            let scalar = bounded_search_with_fallback(&ks, k, 500, 20);
-            assert_eq!(&scalar, lane, "key {k}");
-        }
     }
 
     #[test]

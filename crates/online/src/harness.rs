@@ -2,7 +2,7 @@
 //! scored on drift, recall, and collateral.
 //!
 //! Every scenario runs the same three sequential phases against one
-//! online server (`Server::start_online`):
+//! online server (`ServerBuilder::start_online`):
 //!
 //! 1. **pre** — benign closed-loop reads on the bootstrap index; its mean
 //!    lookup cost is the scenario's own clean baseline;
@@ -282,14 +282,16 @@ fn run_scenario(scenario: &str, cfg: &OnlineConfig) -> Result<ScenarioReport> {
 
     let index_name = cfg.index.clone();
     let registry = IndexRegistry::with_defaults();
-    let server = Server::start_online(
-        ks.clone(),
-        move |ks| registry.build(&index_name, ks),
-        admission_for(scenario, &ks),
+    let server = Server::builder(
         ServeConfig::new()
             .workers(cfg.workers)
             .batch(64)
             .deadline(Duration::from_micros(200)),
+    )
+    .start_online(
+        ks.clone(),
+        move |ks| registry.build(&index_name, ks),
+        admission_for(scenario, &ks),
     )?;
 
     // Deterministic probe stream: members, uniformly sampled.

@@ -7,7 +7,7 @@
 //! takes no lock at all — the mutex here guards nothing but the O(1)
 //! pointer swap and is never held across index work. Readers therefore
 //! never block on writers: a rebuild happens entirely on the writer thread
-//! against its private shadow copy, and publication is one swap.
+//! against the authoritative keyset, and publication is one swap.
 //!
 //! The counter is bumped *inside* the swap's critical section: a worker
 //! that observes the new epoch and reloads must acquire the same mutex,
@@ -60,8 +60,8 @@ impl<T> EpochSlot<T> {
     }
 
     /// Publishes `next` as the served snapshot, bumps the epoch, and
-    /// returns the previous snapshot (the writer recovers it as the next
-    /// shadow copy once in-flight readers release it).
+    /// returns the previous snapshot, so the caller drops it outside the
+    /// lock (the last in-flight reader to release it frees it otherwise).
     pub(crate) fn publish(&self, next: Arc<T>) -> Arc<T> {
         let mut current = lock(&self.current);
         let old = std::mem::replace(&mut *current, next);
@@ -109,9 +109,9 @@ mod model_tests {
 
     /// A reader caching by epoch races a writer publishing twice: every
     /// observed snapshot must be internally consistent (epoch matches
-    /// value), no snapshot is lost, and each retired front is recovered
-    /// by the writer exactly once (`Arc::try_unwrap` succeeds once every
-    /// reader lets go — the reclaim invariant behind `recover()`).
+    /// value), no snapshot is lost, and each retired front is uniquely
+    /// owned once every reader lets go (`Arc::try_unwrap` succeeds — a
+    /// retired epoch is freed, never leaked to a still-pinned reader).
     #[test]
     fn publish_reload_reclaim_explored() {
         let report = try_check("epoch-publish-reload", cfg(), || {

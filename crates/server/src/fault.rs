@@ -23,8 +23,8 @@
 //! * **writer stall** — the writer sleeps before processing a flush;
 //! * **writer crash** — queued writes resolve to
 //!   [`WriteStatus::Failed`](crate::write::WriteStatus) with a reason,
-//!   the writer unwinds, and the supervisor rebuilds its shadow from
-//!   the authoritative keyset;
+//!   the writer unwinds, and the supervisor republishes an epoch rebuilt
+//!   from the authoritative keyset;
 //! * **delayed publish** — the epoch swap lags the keyset mutation,
 //!   stretching the window where readers serve the previous snapshot;
 //! * **storage faults** (durable servers only) — process death before or
@@ -35,8 +35,8 @@
 //!   the chaos harness can exercise `durability::recover`.
 //!
 //! All counters and flags route through [`crate::sync`] so instrumented
-//! (`--features check`) builds stay schedulable; sleeps use the same
-//! `std::thread::sleep` the writer's `recover` wait already uses.
+//! (`--features check`) builds stay schedulable; injected delays are
+//! plain `std::thread::sleep`s, each marked for the `no-prod-sleep` lint.
 //!
 //! The chaos harness (`lis::chaos`) reads the seed from `LIS_CHAOS_SEED`
 //! via [`seed_from_env`].
@@ -496,6 +496,7 @@ impl RetryPolicy {
         let mut last: Option<LisError> = None;
         for attempt in 0..attempts {
             if attempt > 0 {
+                // lis-analysis: allow(no-prod-sleep) — retry backoff.
                 std::thread::sleep(self.backoff(attempt, stream));
             }
             match op() {

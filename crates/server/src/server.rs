@@ -12,17 +12,17 @@
 //! [`ServeReport`] carries p50/p90/p99/max latency, throughput, mean batch
 //! size, mean per-lookup cost, and a windowed [`WindowStats`] time series.
 //!
-//! [`Server::start_online`] additionally opens the **write plane**: a
-//! dedicated bounded write queue drains into one writer thread that owns
-//! the authoritative [`KeySet`] and a mutable shadow index. Every drained
-//! write micro-batch is validated, screened by an
+//! [`ServerBuilder::start_online`] additionally opens the **write plane**:
+//! a dedicated bounded write queue drains into one writer thread that owns
+//! the authoritative [`KeySet`]. Every drained write micro-batch is
+//! validated, screened by an
 //! [`AdmissionPolicy`](crate::write::AdmissionPolicy), staged, logged,
-//! merged into the keyset in one pass, applied to the shadow (natively
-//! via [`DynIndex::try_insert`]/[`DynIndex::try_remove`] when the
-//! structure supports in-place writes, else by rebuilding from the
-//! keyset), and published as one new epoch through the
+//! merged into the keyset in one pass, rebuilt into a fresh index from the
+//! keyset, and published as one new epoch through the
 //! [`EpochSlot`](crate::epoch) — an `Arc` swap, so readers never block on
-//! writers and the lookup hot path stays lock-free between epochs.
+//! writers and the lookup hot path stays lock-free between epochs. Every
+//! victim is trained on the keyset's CDF, so an epoch is a function of the
+//! keyset alone: online ≡ offline and recovered ≡ live hold bit for bit.
 //!
 //! The same object serves three modes:
 //!
@@ -428,7 +428,7 @@ impl ServerHandle {
     pub fn submit_write(&self, op: WriteOp, source: u64) -> Result<WriteTicket> {
         let queue = self.write_queue.as_ref().ok_or_else(|| {
             LisError::Unsupported(
-                "write submitted to a read-only server (Server::start_online enables writes)"
+                "write submitted to a read-only server (ServerBuilder::start_online enables writes)"
                     .into(),
             )
         })?;
@@ -575,8 +575,8 @@ impl ServeReport {
     }
 }
 
-/// Constructor the writer thread uses to rebuild the shadow index from the
-/// authoritative keyset when in-place writes are unsupported.
+/// Constructor the writer thread uses to build each epoch's index from the
+/// authoritative keyset.
 pub type IndexBuild = Box<dyn Fn(&KeySet) -> Result<DynIndex> + Send>;
 
 /// The serving front end: a bounded queue plus a worker pool over one
@@ -593,9 +593,9 @@ pub struct Server {
 
 /// Configures a [`Server`] beyond the [`ServeConfig`] knobs: a fault
 /// schedule for chaos runs and a [`RollbackPolicy`] for attack-triggered
-/// epoch rollback. Obtained from [`Server::builder`]; the plain
-/// [`Server::start`]/[`Server::start_online`] constructors are the
-/// no-faults, no-rollback fast path.
+/// epoch rollback, and the constructor of online servers. Obtained from
+/// [`Server::builder`]; the plain [`Server::start`] constructor is the
+/// no-faults read-only fast path.
 pub struct ServerBuilder {
     cfg: ServeConfig,
     faults: FaultInjector,
@@ -641,8 +641,18 @@ impl ServerBuilder {
         Server::start_inner(slot, name, None, self.cfg, self.faults)
     }
 
-    /// Starts an online server (see [`Server::start_online`]) with this
-    /// builder's fault schedule and rollback policy.
+    /// Spawns a server whose index is *mutable online*: reads serve the
+    /// current epoch's snapshot, writes drain through a dedicated bounded
+    /// queue into a writer thread owning the authoritative `keyset`.
+    ///
+    /// Per write micro-batch the writer validates each operation against
+    /// the keyset and the batch's earlier accepted operations, consults
+    /// `admission` (see [`AdmissionPolicy`](crate::write::AdmissionPolicy))
+    /// with the same view, merges the admitted ops into the keyset in one
+    /// pass, and publishes one new epoch built from the keyset by `build`.
+    /// Readers never block on any of this — publication is an `Arc` swap
+    /// (see [`crate::epoch`]). `build` runs once here for the starting
+    /// epoch, then once per published epoch.
     pub fn start_online<F>(
         self,
         keyset: KeySet,
@@ -653,7 +663,6 @@ impl ServerBuilder {
         F: Fn(&KeySet) -> Result<DynIndex> + Send + 'static,
     {
         let front = build(&keyset)?;
-        let back = build(&keyset)?;
         let name = front.name().to_string();
         let slot = Arc::new(EpochSlot::new(Arc::new(front)));
         let rollback = self.rollback.map(|policy| RollbackState {
@@ -673,10 +682,6 @@ impl ServerBuilder {
         let store = self.durability.open(&keyset, fsync_window)?;
         let state = WriterState {
             keyset,
-            back: Some(back),
-            front_lag: Vec::new(),
-            back_lag: Vec::new(),
-            rebuild_only: false,
             build: Box::new(build),
             admission,
             rollback,
@@ -694,9 +699,9 @@ impl ServerBuilder {
 }
 
 impl Server {
-    /// A [`ServerBuilder`] for servers that need fault injection or
-    /// rollback; plain servers use [`Server::start`]/
-    /// [`Server::start_online`] directly.
+    /// A [`ServerBuilder`] for online servers and for servers that need
+    /// fault injection or rollback; plain read-only servers use
+    /// [`Server::start`] directly.
     pub fn builder(cfg: ServeConfig) -> ServerBuilder {
         ServerBuilder {
             cfg,
@@ -711,35 +716,6 @@ impl Server {
     /// write submissions fail with [`LisError::Unsupported`].
     pub fn start(index: Arc<DynIndex>, cfg: ServeConfig) -> Self {
         Self::builder(cfg).start(index)
-    }
-
-    /// Spawns a server whose index is *mutable online*: reads serve the
-    /// current epoch's snapshot, writes drain through a dedicated bounded
-    /// queue into a writer thread owning the authoritative `keyset` and a
-    /// shadow index.
-    ///
-    /// Per write micro-batch the writer validates each operation against
-    /// the keyset and the batch's earlier accepted operations, consults
-    /// `admission` (see [`AdmissionPolicy`](crate::write::AdmissionPolicy))
-    /// with the same view, merges the admitted ops into the keyset in one
-    /// pass, and publishes one new epoch: in-place via
-    /// [`DynIndex::try_insert`]/[`DynIndex::try_remove`] when the
-    /// structure supports them (ALEX), else by rebuilding from the keyset
-    /// with `build`. Readers never block on any of this — publication is
-    /// an `Arc` swap (see [`crate::epoch`]).
-    ///
-    /// `build` is called twice up front (the served snapshot and the
-    /// shadow), so it must be deterministic for the two copies to agree.
-    pub fn start_online<F>(
-        keyset: KeySet,
-        build: F,
-        admission: Box<dyn AdmissionPolicy>,
-        cfg: ServeConfig,
-    ) -> Result<Self>
-    where
-        F: Fn(&KeySet) -> Result<DynIndex> + Send + 'static,
-    {
-        Self::builder(cfg).start_online(keyset, build, admission)
     }
 
     fn start_inner(
@@ -1036,9 +1012,9 @@ fn worker_loop(
     let mut index: Option<Arc<DynIndex>> = None;
     loop {
         if queue.is_empty() {
-            // About to park: drop the cached snapshot so the writer can
-            // reclaim a retired epoch as its next shadow instead of
-            // timing out against an idle reader and rebuilding.
+            // About to park: drop the cached snapshot so an idle worker
+            // does not keep a retired epoch alive; resident memory stays
+            // at one index.
             index = None;
         }
         if !queue.pop_batch_into(policy, &mut batch) {
@@ -1063,6 +1039,7 @@ fn worker_loop(
         // Injected latency spike, inside the measured serve span so the
         // service-time estimate (and thus load shedding) sees it.
         if let Some(delay) = faults.slow_batch(worker as u64, batches_drained) {
+            // lis-analysis: allow(no-prod-sleep) — injected fault delay.
             std::thread::sleep(delay);
         }
         let current = slot.epoch();
@@ -1127,23 +1104,10 @@ fn worker_loop(
     }
 }
 
-/// The writer thread's private state: the authoritative keyset, the
-/// mutable shadow index, and the op logs that keep the double-buffer
-/// scheme consistent.
-///
-/// Invariants between flushes: the *published* front equals the keyset
-/// minus `front_lag`; the shadow `back` (when present) equals the keyset
-/// minus `back_lag`.
+/// The writer thread's private state: the authoritative keyset and the
+/// constructor every epoch is built with.
 struct WriterState {
     keyset: KeySet,
-    back: Option<DynIndex>,
-    front_lag: Vec<WriteOp>,
-    back_lag: Vec<WriteOp>,
-    /// Set once the shadow has answered a native write with
-    /// [`LisError::Unsupported`]: the victim is statically trained, every
-    /// epoch is a rebuild from the keyset, and a retired front is of no
-    /// use as the next shadow.
-    rebuild_only: bool,
     build: IndexBuild,
     admission: Box<dyn AdmissionPolicy>,
     rollback: Option<RollbackState>,
@@ -1211,20 +1175,14 @@ impl WriterState {
         rb.next_window = current;
         if degraded && rb.quarantined > 0 {
             // Quarantine the post-checkpoint write window: restore the
-            // authoritative keyset, invalidate both lag logs and the
-            // shadow (they describe the poisoned timeline), and publish
-            // an epoch rebuilt from trusted state.
+            // authoritative keyset and publish an epoch rebuilt from
+            // trusted state.
             shared.rollbacks.fetch_add(1, Ordering::Relaxed);
             shared
                 .writes_quarantined
                 .fetch_add(rb.quarantined as u64, Ordering::Relaxed);
             self.keyset = rb.checkpoint.clone();
-            self.front_lag.clear();
-            self.back_lag.clear();
-            if let Ok(front) = (self.build)(&self.keyset) {
-                drop(slot.publish(Arc::new(front)));
-            }
-            self.back = (self.build)(&self.keyset).ok();
+            self.republish(slot);
             rb.policy.rolled_back();
             rb.quarantined = 0;
             // Cooldown: the current (pre-rollback) window still reflects
@@ -1233,45 +1191,21 @@ impl WriterState {
         }
         self.rollback = Some(rb);
     }
-}
 
-/// Replays `ops` in submission order against the shadow through the
-/// fallible write surface; any error (including
-/// [`LisError::Unsupported`] from statically trained structures) aborts so
-/// the caller falls back to a rebuild.
-fn apply_native(index: &mut DynIndex, ops: &[WriteOp]) -> Result<()> {
-    for op in ops {
-        match *op {
-            WriteOp::Insert(k) => index.try_insert(k)?,
-            WriteOp::Remove(k) => index.try_remove(k)?,
+    /// Publishes an epoch rebuilt from the keyset; on a failed build the
+    /// served snapshot stays as it is and the next flush rebuilds.
+    fn republish(&self, slot: &EpochSlot<DynIndex>) {
+        if let Ok(index) = (self.build)(&self.keyset) {
+            drop(slot.publish(Arc::new(index)));
         }
     }
-    Ok(())
-}
-
-/// Reclaims the previous front as the next shadow once in-flight readers
-/// release it. Workers hold the `Arc` only for the duration of one batch,
-/// so a bounded wait suffices; on expiry the caller rebuilds instead —
-/// the writer may wait on readers, never the other way around.
-fn recover(mut arc: Arc<DynIndex>) -> Option<DynIndex> {
-    for _ in 0..200 {
-        match Arc::try_unwrap(arc) {
-            Ok(index) => return Some(index),
-            Err(still_shared) => {
-                arc = still_shared;
-                std::thread::sleep(Duration::from_micros(50));
-            }
-        }
-    }
-    None
 }
 
 /// Runs [`writer_loop`] under a supervisor that models a writer *crash
-/// and restart*: a panic escaping the loop (an injected crash) takes the
-/// shadow index and both lag logs with it — a restarted writer process
-/// would hold neither — leaving only the authoritative keyset. The
-/// supervisor rebuilds the served snapshot and the shadow from that
-/// keyset, counts the restart, and resumes the drain. Readers were never
+/// and restart*: a panic escaping the loop (an injected crash) leaves
+/// only the authoritative keyset, as a restarted writer process would
+/// hold. The supervisor republishes an epoch rebuilt from that keyset,
+/// counts the restart, and resumes the drain. Readers were never
 /// blocked: they kept serving the last published epoch throughout.
 fn supervised_writer(
     queue: &BatchQueue<WriteRequest>,
@@ -1311,13 +1245,7 @@ fn supervised_writer(
             }
             Err(_) => {
                 shared.writer_restarts.fetch_add(1, Ordering::Relaxed);
-                state.back = None;
-                state.front_lag.clear();
-                state.back_lag.clear();
-                if let Ok(front) = (state.build)(&state.keyset) {
-                    drop(slot.publish(Arc::new(front)));
-                }
-                state.back = (state.build)(&state.keyset).ok();
+                state.republish(slot);
             }
         }
     }
@@ -1394,6 +1322,7 @@ fn writer_loop(
         // Injected stall: the writer sits on the drained batch. Clients
         // see latency, not loss — tickets resolve after the stall.
         if let Some(delay) = faults.writer_stall(state.flushes) {
+            // lis-analysis: allow(no-prod-sleep) — injected fault delay.
             std::thread::sleep(delay);
         }
         pending.clear();
@@ -1479,71 +1408,29 @@ fn writer_loop(
         let mut epochs_published = 0u64;
         if !applied_ops.is_empty() {
             state.keyset.commit(&mut stage);
-            state.front_lag.extend_from_slice(&applied_ops);
-            state.back_lag.extend_from_slice(&applied_ops);
-            // Bring the shadow up to the authoritative keyset: native
-            // in-place writes when the structure supports them, else a
-            // full rebuild (the static-structure path).
-            let native_ok = match state.back.as_mut() {
-                Some(back) => match apply_native(back, &state.back_lag) {
-                    Ok(()) => true,
-                    Err(e) => {
-                        state.rebuild_only |= matches!(e, LisError::Unsupported(_));
-                        false
-                    }
-                },
-                None => false,
-            };
-            if !native_ok {
-                state.back = (state.build)(&state.keyset).ok();
-            }
-            match state.back.take() {
-                Some(next) => {
-                    state.back_lag.clear();
+            let epoch = match (state.build)(&state.keyset) {
+                Ok(next) => {
                     // Injected publish delay: the epoch swap itself stays
                     // atomic; readers simply serve the previous epoch for
                     // longer (staleness, never inconsistency).
                     if let Some(delay) = faults.delayed_publish(state.flushes) {
+                        // lis-analysis: allow(no-prod-sleep) — injected fault delay.
                         std::thread::sleep(delay);
                     }
-                    let old = slot.publish(Arc::new(next));
+                    // The retired epoch is freed by whichever reader lets
+                    // go of it last.
+                    drop(slot.publish(Arc::new(next)));
                     epochs_published = 1;
-                    let epoch = slot.epoch();
-                    for response in pending.drain(..) {
-                        response.fulfill(Ok(WriteStatus::Applied { epoch }));
-                    }
-                    // The old front becomes the next shadow; it is missing
-                    // exactly the ops applied since it was last published.
-                    // A rebuild-only victim has no use for one: waiting
-                    // for readers to hand it back would only delay the
-                    // next batch, so the last reader to let go frees it.
-                    let reclaimed = if state.rebuild_only {
-                        None
-                    } else {
-                        recover(old)
-                    };
-                    match reclaimed {
-                        Some(index) => {
-                            state.back = Some(index);
-                            state.back_lag = state.front_lag.clone();
-                        }
-                        None => {
-                            state.back = None;
-                            state.back_lag.clear();
-                        }
-                    }
-                    state.front_lag.clear();
+                    slot.epoch()
                 }
-                None => {
-                    // No publishable shadow (rebuild failed, e.g. the
-                    // keyset shrank below a builder's minimum): the writes
-                    // are authoritative in the keyset, the served snapshot
-                    // lags, and the lag logs retry on the next flush.
-                    let epoch = slot.epoch();
-                    for response in pending.drain(..) {
-                        response.fulfill(Ok(WriteStatus::Applied { epoch }));
-                    }
-                }
+                // The rebuild failed (e.g. the keyset shrank below a
+                // builder's minimum): the writes are authoritative in the
+                // keyset, the served snapshot lags, and the next flush
+                // rebuilds.
+                Err(_) => slot.epoch(),
+            };
+            for response in pending.drain(..) {
+                response.fulfill(Ok(WriteStatus::Applied { epoch }));
             }
         }
         let applied = applied_ops.len() as u64;
@@ -1612,13 +1499,13 @@ mod tests {
         let domain = lis_core::keys::KeyDomain::new(0, 100_000_000).unwrap();
         let ks = KeySet::new((0..n).map(|i| i * 7 + 3).collect(), domain).unwrap();
         let registry = IndexRegistry::with_defaults();
-        let server = Server::start_online(
-            ks.clone(),
-            move |ks| registry.build(index, ks),
-            Box::new(AdmitAll),
-            ServeConfig::offline().workers(2).write_batch(8),
-        )
-        .unwrap();
+        let server = Server::builder(ServeConfig::offline().workers(2).write_batch(8))
+            .start_online(
+                ks.clone(),
+                move |ks| registry.build(index, ks),
+                Box::new(AdmitAll),
+            )
+            .unwrap();
         (ks, server)
     }
 
@@ -1872,65 +1759,54 @@ mod tests {
 
     #[test]
     fn online_rmi_serves_writes_through_epoch_rebuilds() {
-        let (ks, server) = online_server(2_000, "rmi");
-        let handle = server.handle();
-        // A fresh key is invisible, then visible after its epoch lands.
-        assert!(!handle.lookup(1).unwrap().found);
-        let status = handle.write(WriteOp::Insert(1), 7).unwrap();
-        let epoch = match status {
-            WriteStatus::Applied { epoch } => epoch,
-            other => panic!("expected Applied, got {other:?}"),
-        };
-        assert!(epoch >= 1);
-        assert!(handle.lookup(1).unwrap().found, "epoch swap lost the write");
-        // Removal takes effect the same way.
-        let victim = ks.keys()[100];
-        assert!(handle.lookup(victim).unwrap().found);
-        assert!(handle
-            .write(WriteOp::Remove(victim), 7)
-            .unwrap()
-            .is_applied());
-        assert!(!handle.lookup(victim).unwrap().found);
-        // Validation failures are terminal and do not bump the epoch.
-        let before = server.epoch();
-        assert!(matches!(
-            handle.write(WriteOp::Insert(1), 7).unwrap(),
-            WriteStatus::Failed { .. }
-        ));
-        assert!(matches!(
-            handle.write(WriteOp::Remove(999_999_999), 7).unwrap(),
-            WriteStatus::Failed { .. }
-        ));
-        assert_eq!(server.epoch(), before);
-        let report = server.shutdown();
-        assert_eq!(report.writes_applied, 2);
-        assert_eq!(report.writes_failed, 2);
-        assert!(report.epochs >= 2);
-        assert_eq!(
-            report.timeline.iter().map(|w| w.epochs).sum::<u64>(),
-            report.epochs
-        );
-    }
-
-    #[test]
-    fn online_alex_takes_the_native_write_path() {
-        let (ks, server) = online_server(3_000, "alex");
-        let handle = server.handle();
-        for (i, k) in [1u64, 2, 4, 5, 9_000_000].into_iter().enumerate() {
+        // Every victim takes the same path, updatable ALEX included: each
+        // epoch is rebuilt from the keyset.
+        for index in ["rmi", "alex"] {
+            let (ks, server) = online_server(2_000, index);
+            let handle = server.handle();
+            // A fresh key is invisible, then visible after its epoch lands.
+            assert!(!handle.lookup(1).unwrap().found);
+            let status = handle.write(WriteOp::Insert(1), 7).unwrap();
+            let epoch = match status {
+                WriteStatus::Applied { epoch } => epoch,
+                other => panic!("{index}: expected Applied, got {other:?}"),
+            };
+            assert!(epoch >= 1);
+            assert!(
+                handle.lookup(1).unwrap().found,
+                "{index}: epoch swap lost the write"
+            );
+            // Removal takes effect the same way.
+            let victim = ks.keys()[100];
+            assert!(handle.lookup(victim).unwrap().found);
             assert!(handle
-                .write(WriteOp::Insert(k), i as u64)
+                .write(WriteOp::Remove(victim), 7)
                 .unwrap()
                 .is_applied());
+            assert!(!handle.lookup(victim).unwrap().found);
+            // Validation failures are terminal and do not bump the epoch.
+            let before = server.epoch();
+            assert!(matches!(
+                handle.write(WriteOp::Insert(1), 7).unwrap(),
+                WriteStatus::Failed { .. }
+            ));
+            assert!(matches!(
+                handle.write(WriteOp::Remove(999_999_999), 7).unwrap(),
+                WriteStatus::Failed { .. }
+            ));
+            assert_eq!(server.epoch(), before);
+            for &k in ks.keys().iter().step_by(211) {
+                assert!(handle.lookup(k).unwrap().found, "{index}: lost member {k}");
+            }
+            let report = server.shutdown();
+            assert_eq!(report.writes_applied, 2);
+            assert_eq!(report.writes_failed, 2);
+            assert_eq!(report.epochs, 2, "{index}: one epoch per applied batch");
+            assert_eq!(
+                report.timeline.iter().map(|w| w.epochs).sum::<u64>(),
+                report.epochs
+            );
         }
-        for k in [1u64, 2, 4, 5, 9_000_000] {
-            assert!(handle.lookup(k).unwrap().found, "lost write {k}");
-        }
-        for &k in ks.keys().iter().step_by(211) {
-            assert!(handle.lookup(k).unwrap().found, "lost member {k}");
-        }
-        let report = server.shutdown();
-        assert_eq!(report.writes_applied, 5);
-        assert!(report.epochs >= 1);
     }
 
     #[test]
@@ -1950,13 +1826,9 @@ mod tests {
         }
         let ks = KeySet::from_keys((0..500u64).map(|i| i * 7 + 3).collect()).unwrap();
         let registry = IndexRegistry::with_defaults();
-        let server = Server::start_online(
-            ks,
-            move |ks| registry.build("btree", ks),
-            Box::new(OddOnly),
-            ServeConfig::offline().workers(1),
-        )
-        .unwrap();
+        let server = Server::builder(ServeConfig::offline().workers(1))
+            .start_online(ks, move |ks| registry.build("btree", ks), Box::new(OddOnly))
+            .unwrap();
         let handle = server.handle();
         assert!(handle.write(WriteOp::Insert(11), 0).unwrap().is_applied());
         match handle.write(WriteOp::Insert(12), 0).unwrap() {

@@ -3,10 +3,10 @@
 //!
 //! Writes travel a dedicated bounded [`BatchQueue`](crate::queue::BatchQueue)
 //! (backpressure independent of the read queue) into a single writer
-//! thread that owns the authoritative keyset and a mutable shadow index.
-//! Each drained micro-batch is validated against the keyset, screened by
-//! an [`AdmissionPolicy`], applied, and published as one new epoch — see
-//! [`crate::epoch`] and `Server::start_online`.
+//! thread that owns the authoritative keyset. Each drained micro-batch is
+//! validated against the keyset, screened by an [`AdmissionPolicy`],
+//! merged, rebuilt into a fresh index, and published as one new epoch —
+//! see [`crate::epoch`] and `ServerBuilder::start_online`.
 //!
 //! Admission control is where online defenses plug in: a policy sees every
 //! candidate write together with its source id and a [`KeyView`] of the

@@ -136,19 +136,19 @@ fn steady_state_serving_performs_no_per_batch_allocation() {
     assert!(report.mlookups_per_s() > 0.0);
 
     // Window 3: the read path keeps the same per-request bound with the
-    // write plane active. An online alex server (native write path)
-    // absorbs a write burst so several epochs have been published, then
-    // serves the identical probe load while a trickle of writes lands
-    // concurrently. Writes pay their own bounded cost (client slot,
-    // keyset/lag bookkeeping, occasional leaf splits) — the read side
-    // must not start allocating per batch because epochs now move.
-    let online = Server::start_online(
-        keyset(60_000),
-        |ks| IndexRegistry::with_defaults().build("alex", ks),
-        Box::new(AdmitAll),
-        ServeConfig::new().workers(2).batch(8),
-    )
-    .unwrap();
+    // write plane active. An online rmi server absorbs a write burst so
+    // several epochs have been published, then serves the identical probe
+    // load while a trickle of writes lands concurrently. Writes pay their
+    // own bounded cost (client slot, keyset merge, one rebuild per epoch)
+    // — the read side must not start allocating per batch because epochs
+    // now move.
+    let online = Server::builder(ServeConfig::new().workers(2).batch(8))
+        .start_online(
+            keyset(60_000),
+            |ks| IndexRegistry::with_defaults().build("rmi", ks),
+            Box::new(AdmitAll),
+        )
+        .unwrap();
     let handle = online.handle();
     let keys = ks.keys();
     let midpoint = |i: usize| {
@@ -187,10 +187,7 @@ fn steady_state_serving_performs_no_per_batch_allocation() {
     );
     let report = online.shutdown();
     assert_eq!(report.writes_applied, 208);
-    assert!(
-        report.epochs > 0,
-        "native writes should still publish epochs"
-    );
+    assert!(report.epochs > 0, "applied writes should publish epochs");
 
     // Window 4: the persistent worker pool. Starting a server above
     // already installed the shared pool as the core fan-out backend, so

@@ -425,6 +425,7 @@ fn drive_reads(
                                 Err(e) if e.is_retryable() && attempt + 1 < policy.attempts => {
                                     attempt += 1;
                                     local.retries += 1;
+                                    // lis-analysis: allow(no-prod-sleep) — retry backoff.
                                     std::thread::sleep(policy.backoff(attempt, key));
                                 }
                                 Err(_) => break,
@@ -511,6 +512,7 @@ fn drive_writes(handle: &ServerHandle, keys: &[Key], policy: &RetryPolicy) -> Wr
         if transient {
             if attempt + 1 < policy.attempts {
                 drive.retries += 1;
+                // lis-analysis: allow(no-prod-sleep) — retry backoff.
                 std::thread::sleep(policy.backoff(attempt + 1, key));
                 match handle.submit_write(WriteOp::Insert(key), key % 16) {
                     Ok(ticket) => inflight.push_back((key, attempt + 1, ticket)),
@@ -747,6 +749,8 @@ fn run_scenario(scenario: &str, cfg: &ChaosConfig) -> Result<ChaosScenarioReport
         for part in probes.chunks(chunk) {
             cost_sum += measured_sweep(&server, part)?;
             chunks += 1.0;
+            // lis-analysis: allow(no-prod-sleep) — window pacing: spreads the
+            // calibration reads over several drift-monitor windows.
             std::thread::sleep(Duration::from_millis(26));
         }
         pre_mean_cost = cost_sum / chunks.max(1.0);
@@ -774,6 +778,8 @@ fn run_scenario(scenario: &str, cfg: &ChaosConfig) -> Result<ChaosScenarioReport
         let detect_deadline = Instant::now() + Duration::from_secs(30);
         while server.stats().rollbacks == 0 && Instant::now() < detect_deadline {
             measured_sweep(&server, &probes[..chunk.min(probes.len())])?;
+            // lis-analysis: allow(no-prod-sleep) — window pacing: one probe
+            // sweep per drift-monitor window until the rollback lands.
             std::thread::sleep(Duration::from_millis(26));
         }
         // Recovered cost: the quarantined epoch is gone, the checkpoint

@@ -7,7 +7,6 @@ use lis::prelude::*;
 use lis::workloads::{domain_for_density, lognormal_keys, trial_rng, uniform_keys};
 use lis_core::btree::BPlusTree;
 use lis_core::index::IndexRegistry;
-use lis_core::search::set_scalar_kernel;
 use lis_core::store::RecordStore;
 
 #[test]
@@ -73,15 +72,14 @@ fn poisoning_increases_lookup_cost() {
 }
 
 #[test]
-fn vectorized_scalar_and_per_key_paths_agree_on_every_index() {
+fn vectorized_and_per_key_paths_agree_on_every_index() {
     // The vectorized serve path must be a pure performance change: for
     // every registry structure — over the clean keyset AND over an
     // Algorithm-2-poisoned one (inflated error radii stress the window
-    // kernel hardest) — the batched lane-kernel path, its
-    // scalar-equivalent kernel, and the per-key reference path agree
-    // exactly on found/rank/cost for member and absent probes alike.
-    // (Flipping the kernel globally is safe mid-run precisely because of
-    // this bit-identity; see `lis_core::search::set_scalar_kernel`.)
+    // kernel hardest) — the batched lane-kernel path and the per-key
+    // reference path agree exactly on found/rank/cost for member and
+    // absent probes alike. (The lane kernel itself is pinned against a
+    // scalar oracle in `lis_core::search`'s unit tests.)
     let mut rng = trial_rng(6, 0);
     let domain = domain_for_density(3_000, 0.1).unwrap();
     let clean = uniform_keys(&mut rng, 3_000, domain).unwrap();
@@ -114,10 +112,6 @@ fn vectorized_scalar_and_per_key_paths_agree_on_every_index() {
             let mut out = Vec::new();
             idx.lookup_batch_into(&probes, &mut out);
             assert_eq!(out, reference, "{name}/{dataset}: vectorized vs per-key");
-            let prev = set_scalar_kernel(true);
-            idx.lookup_batch_into(&probes, &mut out);
-            set_scalar_kernel(prev);
-            assert_eq!(out, reference, "{name}/{dataset}: scalar vs per-key");
         }
     }
 }

@@ -4,11 +4,9 @@
 //! index mutated *online* through the serve path (epoch-swapped writes)
 //! must answer exactly like an index built *offline* from the same final
 //! keyset — for every victim structure, whether the write stream is
-//! benign churn or an Algorithm-2 campaign. Plus the adjacent write-plane
-//! surfaces: the registry-wide fallible write API, and the traffic mixer's
+//! benign churn or an Algorithm-2 campaign. Plus the traffic mixer's
 //! realized adversarial ratio.
 
-use lis::core::error::LisError;
 use lis::core::index::ErasedIndex;
 use lis::online::{run_campaign, Campaign, CampaignConfig};
 use lis::prelude::*;
@@ -63,13 +61,13 @@ fn assert_online_matches_offline(
     ops: &[WriteOp],
 ) -> Result<(), TestCaseError> {
     let registry = IndexRegistry::with_defaults();
-    let server = Server::start_online(
-        ks.clone(),
-        move |ks| IndexRegistry::with_defaults().build(name, ks),
-        Box::new(AdmitAll),
-        ServeConfig::offline().workers(2).write_batch(16),
-    )
-    .expect("online server");
+    let server = Server::builder(ServeConfig::offline().workers(2).write_batch(16))
+        .start_online(
+            ks.clone(),
+            move |ks| IndexRegistry::with_defaults().build(name, ks),
+            Box::new(AdmitAll),
+        )
+        .expect("online server");
     let handle = server.handle();
     let mut final_keys: BTreeSet<Key> = ks.keys().iter().copied().collect();
     for (i, &op) in ops.iter().enumerate() {
@@ -100,9 +98,9 @@ fn assert_online_matches_offline(
     let online = server.serve_all(&probes).expect("online serve");
     for ((&k, got), want) in probes.iter().zip(&online).zip(&expected) {
         prop_assert_eq!(
-            got.found,
-            want.found,
-            "{}: online/offline disagree on membership of {}",
+            got,
+            want,
+            "{}: online/offline Lookup differs on {}",
             name,
             k
         );
@@ -113,9 +111,6 @@ fn assert_online_matches_offline(
             name,
             k
         );
-        if let (Some(gp), Some(wp)) = (got.pos, want.pos) {
-            prop_assert_eq!(gp, wp, "{}: online/offline disagree on rank of {}", name, k);
-        }
     }
     let report = server.shutdown();
     prop_assert_eq!(report.writes_applied as usize, ops.len());
@@ -140,12 +135,6 @@ impl ErasedIndex for Held {
     fn lookup_each_into(&self, keys: &[Key], out: &mut Vec<Lookup>) {
         self.0.lookup_each_into(keys, out)
     }
-    fn try_insert(&mut self, _: Key) -> lis::core::error::Result<()> {
-        Err(LisError::Unsupported("held by the test".into()))
-    }
-    fn try_remove(&mut self, _: Key) -> lis::core::error::Result<()> {
-        Err(LisError::Unsupported("held by the test".into()))
-    }
     fn loss(&self) -> f64 {
         self.0.loss()
     }
@@ -168,17 +157,17 @@ fn an_epoch_held_by_a_reader_keeps_answering_across_later_epochs() {
     let latest = Arc::new(Mutex::new(None::<(KeySet, Arc<DynIndex>)>));
     let server = {
         let latest = Arc::clone(&latest);
-        Server::start_online(
-            ks.clone(),
-            move |ks| {
-                let index = Arc::new(IndexRegistry::with_defaults().build("rmi", ks)?);
-                *latest.lock().unwrap() = Some((ks.clone(), Arc::clone(&index)));
-                Ok(DynIndex::new("rmi", Held(index)))
-            },
-            Box::new(AdmitAll),
-            ServeConfig::offline().workers(1).write_batch(1),
-        )
-        .expect("online server")
+        Server::builder(ServeConfig::offline().workers(1).write_batch(1))
+            .start_online(
+                ks.clone(),
+                move |ks| {
+                    let index = Arc::new(IndexRegistry::with_defaults().build("rmi", ks)?);
+                    *latest.lock().unwrap() = Some((ks.clone(), Arc::clone(&index)));
+                    Ok(DynIndex::new("rmi", Held(index)))
+                },
+                Box::new(AdmitAll),
+            )
+            .expect("online server")
     };
     let handle = server.handle();
     let (before, after) = ops.split_at(10);
@@ -203,9 +192,9 @@ fn an_epoch_held_by_a_reader_keeps_answering_across_later_epochs() {
 }
 
 proptest! {
-    /// Benign online mutation ≡ offline rebuild, for a static structure
-    /// (rmi — rebuild-per-epoch path), a natively writable one (alex),
-    /// and the baseline (btree).
+    /// Benign online mutation ≡ offline rebuild, whole `Lookup` for whole
+    /// `Lookup` (found, rank and cost), for a learned structure (rmi), an
+    /// updatable one (alex), and the baseline (btree).
     #[test]
     fn online_mutation_matches_offline_build(seed in 0u64..500) {
         let ks = sample_keyset(seed);
@@ -222,12 +211,13 @@ proptest! {
     fn online_campaign_matches_offline_poisoned_build(seed in 0u64..200) {
         let ks = sample_keyset(seed);
         let name = if seed % 2 == 0 { "rmi" } else { "alex" };
-        let server = Server::start_online(
-            ks.clone(),
-            move |ks| IndexRegistry::with_defaults().build(name, ks),
-            Box::new(AdmitAll),
-            ServeConfig::offline().workers(2).write_batch(16),
-        ).expect("online server");
+        let server = Server::builder(ServeConfig::offline().workers(2).write_batch(16))
+            .start_online(
+                ks.clone(),
+                move |ks| IndexRegistry::with_defaults().build(name, ks),
+                Box::new(AdmitAll),
+            )
+            .expect("online server");
         let mut campaign = Campaign::plan(&ks, &CampaignConfig {
             poison_percent: 5.0,
             ..CampaignConfig::default()
@@ -248,52 +238,11 @@ proptest! {
         let online = server.serve_all(&probes).expect("online serve");
         for ((&k, got), want) in probes.iter().zip(&online).zip(&expected) {
             prop_assert_eq!(
-                got.found, want.found,
-                "{}: poisoned online/offline disagree on {}", name, k
+                got, want,
+                "{}: poisoned online/offline Lookup differs on {}", name, k
             );
         }
         server.shutdown();
-    }
-
-    /// The fallible write surface is total over the registry: every index
-    /// either applies an insert/remove pair faithfully or reports
-    /// `Unsupported` leaving itself untouched.
-    #[test]
-    fn registry_write_surface_is_total(seed in 0u64..500) {
-        let ks = sample_keyset(seed);
-        let registry = IndexRegistry::with_defaults();
-        let fresh = ks.gaps().first().map(|g| g.lo + (g.hi - g.lo) / 2)
-            .expect("keyset has gaps");
-        let member = ks.keys()[ks.len() / 2];
-        for name in registry.names() {
-            let mut index = registry.build(name, &ks).expect("build");
-            let before = index.len();
-            match index.try_insert(fresh) {
-                Ok(()) => {
-                    prop_assert!(
-                        index.lookup(fresh).found,
-                        "{}: applied insert of {} not found", name, fresh
-                    );
-                    prop_assert_eq!(index.len(), before + 1, "{} len after insert", name);
-                    prop_assert!(index.try_remove(fresh).is_ok(), "{} remove", name);
-                    prop_assert!(!index.lookup(fresh).found, "{} key back after remove", name);
-                    prop_assert_eq!(index.len(), before, "{} len after remove", name);
-                }
-                Err(lis::core::error::LisError::Unsupported(_)) => {
-                    prop_assert_eq!(index.len(), before, "{} len changed on Unsupported", name);
-                    prop_assert!(!index.lookup(fresh).found, "{} inserted despite Unsupported", name);
-                    // The remove side must refuse the same way.
-                    prop_assert!(
-                        matches!(
-                            index.try_remove(member),
-                            Err(lis::core::error::LisError::Unsupported(_))
-                        ),
-                        "{}: try_remove should be Unsupported too", name
-                    );
-                }
-                Err(e) => prop_assert!(false, "{}: unexpected error {:?}", name, e),
-            }
-        }
     }
 
     /// The traffic mixer's realized adversarial ratio converges to the
