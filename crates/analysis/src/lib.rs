@@ -57,6 +57,11 @@
 //!   is a poll, slow when the event is early and wrong when it is late.
 //!   Injected fault delays, retry backoff and deliberate pacing carry an
 //!   inline allow saying which they are.
+//! * **`no-global-knob`** — no `static` of `Atomic*` type in non-test
+//!   code of the same `src/` trees (the same exemptions): a process-global
+//!   atomic is a runtime setting every caller shares and any test can
+//!   flip mid-run. Id and sequence counters carry an inline allow naming
+//!   them as such.
 //! * **`registry-complete`** — every `impl LearnedIndex for T` in
 //!   `lis-core` has its type constructed in
 //!   `IndexRegistry::with_defaults`, so new structures are reachable by
@@ -111,7 +116,7 @@ pub struct AnalysisReport {
 }
 
 /// The rule slugs this pass enforces, in report order.
-pub const RULES: [&str; 13] = [
+pub const RULES: [&str; 14] = [
     "zero-alloc",
     "thread-discipline",
     "condvar-predicate",
@@ -123,6 +128,7 @@ pub const RULES: [&str; 13] = [
     "shared-key-array",
     "scratch-dir",
     "no-prod-sleep",
+    "no-global-knob",
     "registry-complete",
     "forbid-unsafe",
 ];
@@ -326,6 +332,21 @@ fn trailing_ident(text: &str) -> &str {
     &text[start..]
 }
 
+/// Whether `code` declares a `static` (not a `'static` lifetime) whose
+/// type is an atomic.
+fn declares_atomic_static(code: &str) -> bool {
+    code.match_indices("static ").any(|(at, pat)| {
+        let boundary = code[..at]
+            .chars()
+            .next_back()
+            .is_none_or(char::is_whitespace);
+        let ty = code[at + pat.len()..]
+            .split_once(':')
+            .map_or("", |(_, rest)| rest.split('=').next().unwrap_or(""));
+        boundary && ty.contains("Atomic")
+    })
+}
+
 /// Names a file's non-test code declares with type `Signal` or `&Signal`
 /// (struct fields, parameters, annotated bindings).
 fn signal_names(scan: &FileScan) -> Vec<&str> {
@@ -422,7 +443,9 @@ fn run_line_rules(
         relpath,
         "crates/server/src/server.rs" | "crates/server/src/durability.rs"
     );
-    let sleep_policed =
+    // The model checker's facade and the shims stand in for std, so
+    // process-wide policies (sleeps, global knobs) do not bind them.
+    let std_policed =
         !relpath.starts_with("crates/check/src/") && !relpath.starts_with("crates/shims/");
     let epoch_victim = matches!(
         relpath,
@@ -619,7 +642,7 @@ fn run_line_rules(
         }
 
         // no-prod-sleep: a sleep standing in for an event.
-        if sleep_policed && has_token(code, "thread::sleep(") {
+        if std_policed && has_token(code, "thread::sleep(") {
             push_violation(
                 scan,
                 violations,
@@ -630,6 +653,21 @@ fn run_line_rules(
                 "`thread::sleep` in production code — wait on the event (a `Signal`, a \
                  ticket, a join) instead of polling for it, or justify a fault delay, \
                  backoff or pacing with an allow"
+                    .to_string(),
+            );
+        }
+
+        // no-global-knob: a process-global atomic setting.
+        if std_policed && declares_atomic_static(code) {
+            push_violation(
+                scan,
+                violations,
+                allowed,
+                "no-global-knob",
+                relpath,
+                lineno,
+                "`static` atomic in production code — a global runtime knob every caller \
+                 shares; pass the setting explicitly, or justify an id counter with an allow"
                     .to_string(),
             );
         }

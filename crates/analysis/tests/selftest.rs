@@ -182,11 +182,33 @@ mod tests {
 }
 "#;
 
+/// A global atomic knob beside an allowed id counter and a test module's
+/// static, which is exempt.
+const VIOLATING_KNOB_FILE: &str = r#"
+static DEPTH: std::sync::atomic::AtomicUsize = std::sync::atomic::AtomicUsize::new(0);
+
+pub fn next_id() -> u64 {
+    // lis-analysis: allow(no-global-knob) — an id source, not a setting.
+    static NEXT: AtomicU64 = AtomicU64::new(0);
+    NEXT.fetch_add(1, Ordering::Relaxed)
+}
+
+pub fn name(s: &'static str) -> &'static str {
+    s
+}
+
+#[cfg(test)]
+mod tests {
+    static CALLS: AtomicUsize = AtomicUsize::new(0);
+}
+"#;
+
 #[test]
 fn violating_tree_trips_every_rule() {
     let root = scratch_root("violating");
     write(&root, "src/lib.rs", "pub fn ok() {}\n");
     write(&root, "src/poll.rs", VIOLATING_SLEEP_FILE);
+    write(&root, "crates/core/src/knob.rs", VIOLATING_KNOB_FILE);
     // The model checker's facade and the shims are exempt.
     write(&root, "crates/check/src/thread.rs", VIOLATING_SLEEP_FILE);
     write(&root, "crates/shims/rand/src/lib.rs", VIOLATING_SLEEP_FILE);
@@ -356,6 +378,16 @@ fn violating_tree_trips_every_rule() {
         .map(|v| (v.file.as_str(), v.line))
         .collect();
     assert_eq!(sleeps, vec![("src/poll.rs", 4)]);
+
+    // Only the global knob is flagged: not the allowed id counter, the
+    // `'static` lifetimes, or the test module's static.
+    let knobs: Vec<(&str, usize)> = report
+        .violations
+        .iter()
+        .filter(|v| v.rule == "no-global-knob")
+        .map(|v| (v.file.as_str(), v.line))
+        .collect();
+    assert_eq!(knobs, vec![("crates/core/src/knob.rs", 2)]);
 
     // The orphan index type is flagged; the registered one is not.
     let registry: Vec<&str> = report

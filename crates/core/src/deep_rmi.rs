@@ -372,31 +372,10 @@ impl DeepRmi {
     /// Sorted-batch lookup into a reused buffer: probes sweep the key
     /// array in sorted order (results restored to probe order), so the
     /// per-stage model walks and last-mile windows move monotonically
-    /// through memory. The sweep is software-pipelined — the multi-stage
-    /// route and prediction run ahead of the window searches, prefetching
-    /// each probe's leaf window. Per-probe results are identical to
-    /// [`DeepRmi::lookup`] at every pipeline depth.
+    /// through memory. Each probe is served by [`DeepRmi::lookup`] itself,
+    /// so per-probe results are identical to it by construction.
     pub fn lookup_batch_into(&self, keys: &[Key], out: &mut Vec<Lookup>) {
-        // Through the `Arc` once per batch, not once per probe.
-        let data: &[Key] = &self.keys;
-        let last = data.len().saturating_sub(1);
-        crate::index::sorted_batch_pipelined(
-            &self.scratch,
-            keys,
-            out,
-            |k| {
-                let leaf = self.route(k);
-                let guess = self.predict_at_leaf(leaf, k);
-                let radius = self.leaf_errors[leaf] + 1;
-                crate::search::prefetch_window(
-                    data,
-                    guess.saturating_sub(radius),
-                    guess.saturating_add(radius).min(last),
-                );
-                (guess, radius)
-            },
-            |k, (guess, radius)| bounded_search_with_fallback(data, k, guess, radius).into(),
-        );
+        crate::index::sorted_batch_into(&self.scratch, keys, out, |k| self.lookup(k));
     }
 
     /// Mean MSE over the trained leaf models (untrained leaves excluded) —

@@ -134,65 +134,6 @@ pub(crate) fn sorted_batch_into(
     // lis-analysis: end(zero-alloc)
 }
 
-/// The software-pipelined twin of [`sorted_batch_into`], giving the
-/// sorted sweep memory-level parallelism: each probe is split into a
-/// `plan` stage (routing + prediction + window prefetch, run in sorted
-/// order so it owns any monotone cursor) and a `serve` stage (the
-/// last-mile window search), with up to
-/// [`pipeline_depth`](crate::search::pipeline_depth) probes in flight
-/// between the two. By the time a probe is served, its window lines have
-/// been in flight for `depth − 1` plans — cache misses overlap instead of
-/// serializing. The in-flight state lives in a fixed stack ring (no
-/// allocation), results land in probe order, and every depth — including
-/// the unpipelined depth 1 — produces bit-identical output, since `serve`
-/// consumes exactly what `plan` computed.
-pub(crate) fn sorted_batch_pipelined<P: Copy + Default>(
-    scratch: &ScratchPool<Vec<(Key, usize)>>,
-    keys: &[Key],
-    out: &mut Vec<Lookup>,
-    mut plan: impl FnMut(Key) -> P,
-    mut serve: impl FnMut(Key, P) -> Lookup,
-) {
-    // lis-analysis: begin(zero-alloc)
-    out.clear();
-    if keys.is_empty() {
-        return;
-    }
-    let depth = crate::search::pipeline_depth();
-    if depth == 1 {
-        // Depth 1 *is* the unpipelined reference sweep — route through it
-        // so the two code paths cannot drift apart.
-        return sorted_batch_into(scratch, keys, out, |k| {
-            let p = plan(k);
-            serve(k, p)
-        });
-    }
-    // lis-analysis: allow(zero-alloc) — `Vec::new` is the cold-path pool
-    // fill for the first call; steady state pops a warmed buffer.
-    let mut order = scratch.acquire_or(Vec::new);
-    build_probe_order(keys, &mut order);
-    out.resize(keys.len(), Lookup::membership(false, 0));
-
-    let mut ring = [(Key::MIN, 0usize, P::default()); crate::search::MAX_PIPELINE_DEPTH];
-    for (i, &(k, slot)) in order.iter().enumerate() {
-        let at = i % depth;
-        if i >= depth {
-            // The slot about to be overwritten holds the oldest in-flight
-            // probe — serve it first (read before write).
-            let (rk, rslot, p) = ring[at];
-            out[rslot] = serve(rk, p);
-        }
-        ring[at] = (k, slot, plan(k));
-    }
-    let n = order.len();
-    for i in n.saturating_sub(depth.min(n))..n {
-        let (rk, rslot, p) = ring[i % depth];
-        out[rslot] = serve(rk, p);
-    }
-    scratch.release(order);
-    // lis-analysis: end(zero-alloc)
-}
-
 /// The outcome of a single index lookup, shared by every structure in the
 /// workspace (replacing the former per-structure result types).
 ///
@@ -795,12 +736,10 @@ mod tests {
     }
 
     #[test]
-    fn pipelined_batch_is_depth_invariant() {
-        // The sorted-batch pipeline must be a pure scheduling change:
-        // every depth (including the unpipelined depth 1) produces
-        // bit-identical found/rank/cost. The depth is a process-global
-        // atomic, which is safe to toggle under parallel test execution
-        // *because* of this invariant.
+    fn sorted_batch_matches_per_key_at_every_batch_shape() {
+        // The sorted sweep must agree with per-key lookups on
+        // found/rank/cost for a full batch, a batch of 1 and an empty
+        // batch, each written through a dirty, wrong-length buffer.
         let ks = keyset(700);
         let reg = IndexRegistry::with_defaults();
         let probes: Vec<Key> = ks
@@ -810,22 +749,20 @@ mod tests {
             .copied()
             .chain([1, 9, 10_000])
             .collect();
+        let dirty = || vec![Lookup::membership(true, 77); 3];
         for name in ["rmi", "rmi-root", "deep-rmi", "pla"] {
             let idx = reg.build(name, &ks).unwrap();
             let mut reference = Vec::new();
             idx.lookup_each_into(&probes, &mut reference);
-            // Dirty, wrong-length reuse: the batch path must clear it.
-            let mut out = vec![Lookup::membership(true, 77); 3];
-            for depth in [1usize, 2, 8, 16] {
-                let prev = crate::search::set_pipeline_depth(depth);
-                idx.lookup_batch_into(&probes, &mut out);
-                assert_eq!(out, reference, "{name} depth {depth}");
-                idx.lookup_batch_into(&probes[..1], &mut out);
-                assert_eq!(out, reference[..1], "{name} depth {depth} batch-of-1");
-                idx.lookup_batch_into(&[], &mut out);
-                assert!(out.is_empty(), "{name} depth {depth} empty batch");
-                crate::search::set_pipeline_depth(prev);
-            }
+            let mut out = dirty();
+            idx.lookup_batch_into(&probes, &mut out);
+            assert_eq!(out, reference, "{name} full batch");
+            let mut out = dirty();
+            idx.lookup_batch_into(&probes[..1], &mut out);
+            assert_eq!(out, reference[..1], "{name} batch-of-1");
+            let mut out = dirty();
+            idx.lookup_batch_into(&[], &mut out);
+            assert!(out.is_empty(), "{name} empty batch");
         }
     }
 

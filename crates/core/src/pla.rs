@@ -257,35 +257,17 @@ impl PlaIndex {
     /// Sorted-batch lookup into a reused buffer: probes are swept in key
     /// order, so segment routing advances a cursor monotonically (no
     /// per-probe binary search over segments) and the bounded windows
-    /// stream through the key array; results return in probe order and
-    /// are identical to [`PlaIndex::lookup`] per probe. Like the RMI's
-    /// batch path, the sweep is software-pipelined: segment routing and
-    /// prediction run ahead of the `epsilon`-bounded window searches,
-    /// prefetching each probe's window so cache misses overlap.
+    /// stream through the key array. Each probe is served by
+    /// [`PlaIndex::lookup`]'s own last-mile step; results return in probe
+    /// order and are identical to it per probe by construction.
     pub fn lookup_batch_into(&self, keys: &[Key], out: &mut Vec<Lookup>) {
-        // Through the `Arc` once per batch, not once per probe.
-        let data: &[Key] = &self.keys;
         let mut seg = 0usize;
-        let radius = self.epsilon + 1;
-        let last = data.len().saturating_sub(1);
-        crate::index::sorted_batch_pipelined(
-            &self.scratch,
-            keys,
-            out,
-            |k| {
-                // Monotone `segment_for`: last segment with
-                // `first_key ≤ k`, galloping forward from the cursor.
-                seg = crate::search::monotone_route_by(&self.segments, seg, k, |s| s.first_key);
-                let guess = self.segments[seg].predict_pos(k, data.len());
-                crate::search::prefetch_window(
-                    data,
-                    guess.saturating_sub(radius),
-                    guess.saturating_add(radius).min(last),
-                );
-                guess
-            },
-            |k, guess| bounded_search_with_fallback(data, k, guess, radius).into(),
-        );
+        crate::index::sorted_batch_into(&self.scratch, keys, out, |k| {
+            // Monotone `segment_index_for`: last segment with
+            // `first_key ≤ k`, galloping forward from the cursor.
+            seg = crate::search::monotone_route_by(&self.segments, seg, k, |s| s.first_key);
+            self.lookup_in_segment(seg, k)
+        });
     }
 
     /// Largest prediction error over the training keys (must be ≤

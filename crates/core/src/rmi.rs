@@ -427,43 +427,24 @@ impl Rmi {
     /// their original slots), swept in key order — so oracle routing
     /// advances monotonically through the boundary array and the last-mile
     /// searches walk the key array left to right — and results land back
-    /// in probe order. The sweep is software-pipelined: routing and
-    /// prediction run [`pipeline_depth`](crate::search::pipeline_depth)
-    /// probes ahead of the window searches, prefetching each probe's leaf
-    /// window so DRAM misses overlap instead of serializing. Per-probe
-    /// results (`found`, position, cost) are identical to [`Rmi::lookup`]
-    /// at every depth; only locality and memory-level parallelism change.
+    /// in probe order. Each probe is served by [`Rmi::lookup`]'s own
+    /// last-mile step, so per-probe results (`found`, position, cost) are
+    /// identical to it by construction; only locality changes.
     pub fn lookup_batch_into(&self, keys: &[Key], out: &mut Vec<Lookup>) {
-        // Through the `Arc` once per batch, not once per probe.
-        let data: &[Key] = &self.keys;
         let mut leaf = 0usize;
-        let last = data.len() - 1;
-        crate::index::sorted_batch_pipelined(
-            &self.scratch,
-            keys,
-            out,
-            |k| {
-                match self.routing {
-                    Routing::Oracle => {
-                        // Monotone routing: identical to `route_oracle`
-                        // (last boundary ≤ key), galloping forward from
-                        // the cursor — a probe or two when batches are
-                        // dense, O(log gap) when they are sparse.
-                        leaf = crate::search::monotone_route_by(&self.boundaries, leaf, k, |&b| b);
-                    }
-                    Routing::Root => leaf = self.route_by_root(k),
+        crate::index::sorted_batch_into(&self.scratch, keys, out, |k| {
+            leaf = match self.routing {
+                // Monotone routing: identical to `route_oracle` (last
+                // boundary ≤ key), galloping forward from the cursor — a
+                // probe or two when batches are dense, O(log gap) when
+                // they are sparse.
+                Routing::Oracle => {
+                    crate::search::monotone_route_by(&self.boundaries, leaf, k, |&b| b)
                 }
-                let guess = self.predict_at_leaf(leaf, k);
-                let radius = self.table.max_err[leaf] + 1;
-                crate::search::prefetch_window(
-                    data,
-                    guess.saturating_sub(radius),
-                    guess.saturating_add(radius).min(last),
-                );
-                (guess, radius)
-            },
-            |k, (guess, radius)| bounded_search_with_fallback(data, k, guess, radius).into(),
-        );
+                Routing::Root => self.route_by_root(k),
+            };
+            self.lookup_at_leaf(leaf, k)
+        });
     }
 
     /// Mean squared error of leaf `i` on its training partition (the

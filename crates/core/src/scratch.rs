@@ -95,6 +95,7 @@ pub struct ScratchDir {
 impl ScratchDir {
     /// Creates the directory. `label` only makes the name readable.
     pub fn new(label: &str) -> Result<Self> {
+        // lis-analysis: allow(no-global-knob) — an id source, not a setting.
         static NEXT: AtomicU64 = AtomicU64::new(0);
         let n = NEXT.fetch_add(1, Ordering::Relaxed);
         let path = std::env::temp_dir().join(format!("lis-{label}-{}-{n}", std::process::id()));

@@ -8,9 +8,12 @@
 //! bracketed range, and count key comparisons so experiments can report the
 //! search cost that poisoning inflates.
 //!
-//! The hot path is [`bounded_search_with_fallback`]: indexes that store a
-//! per-model maximum training error (`max_err`) search only the
-//! `±(max_err + 1)` window around the prediction, and gallop outward
+//! The hot path is [`bounded_search_with_fallback`], the only window
+//! search any index serves through — per-key lookups call it once, and
+//! batch lookups call it once per probe while sweeping the probes in
+//! sorted order. Indexes that store a per-model maximum training error
+//! (`max_err`) search only the `±(max_err + 1)` window around the
+//! prediction, and gallop outward
 //! *only* when a miss lands on a window edge (out-of-bound prediction —
 //! absent keys or root-routing mispredicts). The window probe is the
 //! *lane kernel*: branchless binary halving while the candidate range
@@ -159,55 +162,6 @@ pub fn binary_search_counted(keys: &[Key], key: Key) -> (Option<usize>, usize) {
     (None, comparisons)
 }
 
-/// Binary search restricted to a window `[center − radius, center + radius]`
-/// (clamped), the "error bound" search of the original LIS design where the
-/// model stores its maximum training error.
-pub fn bounded_search(keys: &[Key], key: Key, center: usize, radius: usize) -> SearchResult {
-    if keys.is_empty() {
-        return SearchResult {
-            pos: None,
-            comparisons: 0,
-        };
-    }
-    let center = center.min(keys.len() - 1);
-    let lo = center.saturating_sub(radius);
-    let hi = center.saturating_add(radius).min(keys.len() - 1);
-    let (pos, comparisons) = binary_search_counted(&keys[lo..=hi], key);
-    SearchResult {
-        pos: pos.map(|p| p + lo),
-        comparisons,
-    }
-}
-
-/// Branchless lower bound over a sorted slice: index of the *last* element
-/// `≤ key`, or `0` when every element exceeds `key`, plus the comparison
-/// count. The loop body has no data-dependent branch (the comparison feeds
-/// an index increment the compiler lowers to a conditional move), so the
-/// comparison count is exactly `⌈log₂ n⌉` regardless of the data — the
-/// right shape for the short, bracketed ranges of error-bounded search.
-fn branchless_lower_bound(keys: &[Key], key: Key) -> (usize, usize) {
-    let mut base = 0usize;
-    let mut size = keys.len();
-    let mut comparisons = 0usize;
-    while size > 1 {
-        let half = size / 2;
-        comparisons += 1;
-        base += usize::from(keys[base + half] <= key) * half;
-        size -= half;
-    }
-    (base, comparisons)
-}
-
-/// The branchless probe behind [`branchless_search_counted`]: lower bound
-/// plus one final three-way comparison. Returns `(base, keys[base] ⋄ key,
-/// comparisons)`; callers interpret the ordering (`Equal` → hit at `base`,
-/// `Less`/`Greater` → which side of the slice the key fell off). Requires
-/// a non-empty slice.
-fn branchless_probe(keys: &[Key], key: Key) -> (usize, std::cmp::Ordering, usize) {
-    let (base, comparisons) = branchless_lower_bound(keys, key);
-    (base, keys[base].cmp(&key), comparisons + 1)
-}
-
 /// Lane width of the vectorized last-mile kernel: the final window is
 /// compared in chunks of this many keys per step (8 × u64 = one 64-byte
 /// cache line, two AVX2 / one AVX-512 vector).
@@ -221,8 +175,8 @@ const LANE_TAIL: usize = 2 * LANE;
 /// Lane-chunked lower bound: branchless halving while the candidate range
 /// exceeds [`LANE_TAIL`], then a count of the `≤ key` prefix over the
 /// remaining window in explicit [`LANE`]-wide chunks (plus a scalar
-/// remainder). Same contract as [`branchless_lower_bound`] — index of the
-/// last element `≤ key`, or `0` — but the comparison count is `descent
+/// remainder). Returns the index of the last element `≤ key`, or `0`
+/// when every element exceeds `key`; the comparison count is `descent
 /// steps + tail length`: every element of a processed lane is charged,
 /// honestly, as one comparison. The count is data-independent for a given
 /// window length ([`lane_window_cost`] computes it in closed form).
@@ -256,7 +210,7 @@ fn lane_lower_bound(keys: &[Key], key: Key) -> (usize, usize) {
     // before `base` are `≤ key` whenever `base > 0` (each descent step
     // only advances onto a `≤ key` element), so `le == 0` implies
     // `base == 0`: every element exceeds `key` and the lower bound pins
-    // at the front, exactly as in `branchless_lower_bound`.
+    // at the front.
     (base + le.saturating_sub(1), comparisons)
 }
 
@@ -294,90 +248,18 @@ fn lane_probe(keys: &[Key], key: Key) -> (usize, std::cmp::Ordering, usize) {
     (base, keys[base].cmp(&key), comparisons + 1)
 }
 
-/// Best-effort software prefetch of `keys[idx]`'s cache line, used by the
-/// pipelined sorted-batch paths to issue the *next* probes' window loads
-/// while the current probe is still being served.
-///
-/// The workspace carries `#![forbid(unsafe_code)]`, which puts the
-/// `core::arch` prefetch intrinsics (`_mm_prefetch` and friends — all
-/// `unsafe fn`) out of reach; on 64-bit targets this instead issues a
-/// bounds-checked demand load pinned by `black_box`, which the
-/// out-of-order window overlaps with younger probes' work — the same
-/// memory-level-parallelism effect, expressed safely. On other targets it
-/// is a no-op (the cfg fallback).
-#[inline(always)]
-pub fn prefetch_key(keys: &[Key], idx: usize) {
-    #[cfg(target_pointer_width = "64")]
-    if let Some(&k) = keys.get(idx) {
-        std::hint::black_box(k);
-    }
-    #[cfg(not(target_pointer_width = "64"))]
-    {
-        let _ = (keys, idx);
-    }
+/// Former setter of a sorted-batch pipeline depth; the batch path is now
+/// one sorted sweep with nothing to tune, so this does nothing and returns
+/// `0`. The `benchmark/` package's `core.lookup.depth1_*` probes are its
+/// only caller; the next benchmark revision drops it together with them.
+#[doc(hidden)]
+pub fn set_pipeline_depth(_depth: usize) -> usize {
+    0
 }
 
-/// Prefetches the span `[lo, hi]` of `keys` at three points — both edges
-/// and the midpoint the halving descent probes first — covering the lines
-/// an error-bounded window search touches.
-#[inline(always)]
-pub fn prefetch_window(keys: &[Key], lo: usize, hi: usize) {
-    prefetch_key(keys, lo);
-    prefetch_key(keys, lo + (hi - lo) / 2);
-    prefetch_key(keys, hi);
-}
-
-/// Deepest supported sorted-batch pipeline: how many probes may be
-/// in flight (planned + prefetched, not yet served) per worker.
-pub const MAX_PIPELINE_DEPTH: usize = 16;
-
-/// Default number of in-flight probes per worker in the sorted-batch
-/// pipeline: deep enough to overlap several DRAM misses, shallow enough
-/// that prefetched lines are still resident when their probe is served.
-pub const DEFAULT_PIPELINE_DEPTH: usize = 8;
-
-/// Configured pipeline depth (`0` = use the default).
-static PIPELINE_DEPTH: std::sync::atomic::AtomicUsize = std::sync::atomic::AtomicUsize::new(0);
-
-/// The number of probes the sorted-batch paths keep in flight. Depth 1
-/// serves each probe immediately after planning it (no overlap) — every
-/// depth produces bit-identical results; only memory-level parallelism
-/// changes.
-pub fn pipeline_depth() -> usize {
-    match PIPELINE_DEPTH.load(std::sync::atomic::Ordering::Relaxed) {
-        0 => DEFAULT_PIPELINE_DEPTH,
-        d => d,
-    }
-}
-
-/// Sets the sorted-batch pipeline depth (clamped to
-/// `[1, MAX_PIPELINE_DEPTH]`; `0` restores the default) and returns the
-/// previous raw setting. Results are depth-independent by construction;
-/// the benchmark's `core.lookup.depth1_*` cells use depth 1 as the
-/// unpipelined baseline.
-pub fn set_pipeline_depth(depth: usize) -> usize {
-    let clamped = depth.min(MAX_PIPELINE_DEPTH);
-    PIPELINE_DEPTH.swap(clamped, std::sync::atomic::Ordering::Relaxed)
-}
-
-/// Branchless counterpart of [`binary_search_counted`] for bracketed
-/// ranges: same contract, but the comparison count is data-independent
-/// (`⌈log₂ n⌉ + 1` for any non-empty slice — no early exit on equality).
-/// This is the window search the error-bounded lookup hot path runs
-/// (through [`bounded_search_with_fallback`], which shares the probe).
-pub fn branchless_search_counted(keys: &[Key], key: Key) -> (Option<usize>, usize) {
-    if keys.is_empty() {
-        return (None, 0);
-    }
-    let (base, ordering, comparisons) = branchless_probe(keys, key);
-    if ordering == std::cmp::Ordering::Equal {
-        (Some(base), comparisons)
-    } else {
-        (None, comparisons)
-    }
-}
-
-/// Monotone routing step for sorted-batch sweeps: the largest index `i`
+/// Monotone routing step for sorted-batch sweeps — the cursor the RMI's
+/// oracle routing and the PLA's segment routing advance before handing
+/// each probe to their per-key last-mile helper: the largest index `i`
 /// with `bound(items[i]) ≤ key`, searched *forward* from `from` (`0` when
 /// every bound exceeds `key`). Requires `bound(items[from]) ≤ key` or
 /// `from == 0` — exactly the invariant a cursor over ascending probes
@@ -546,16 +428,6 @@ mod tests {
     }
 
     #[test]
-    fn bounded_search_respects_radius() {
-        let ks = keys();
-        // Key at 999, window around 0 with radius 10 cannot find it.
-        let r = bounded_search(&ks, ks[999], 0, 10);
-        assert_eq!(r.pos, None);
-        let r = bounded_search(&ks, ks[999], 995, 10);
-        assert_eq!(r.pos, Some(999));
-    }
-
-    #[test]
     fn binary_search_counted_matches_std() {
         let ks = keys();
         for k in [0u64, 3, 1500, 2997, 5, 10_000] {
@@ -595,33 +467,6 @@ mod tests {
                 let r = exponential_search(&ks, k, guess);
                 assert_eq!(r.pos, Some(i), "key {k} guess {guess}");
             }
-        }
-    }
-
-    #[test]
-    fn branchless_matches_binary_search() {
-        let ks = keys();
-        for k in [0u64, 3, 4, 300, 1500, 2996, 2997, 5_000] {
-            let (pos, _) = branchless_search_counted(&ks, k);
-            assert_eq!(pos, ks.binary_search(&k).ok(), "key {k}");
-        }
-        assert_eq!(branchless_search_counted(&[], 5), (None, 0));
-        assert_eq!(branchless_search_counted(&[7], 7), (Some(0), 1));
-        assert_eq!(branchless_search_counted(&[7], 8), (None, 1));
-    }
-
-    #[test]
-    fn branchless_comparison_count_is_data_independent() {
-        let ks = keys();
-        for width in [1usize, 2, 3, 7, 64, 100, 1000] {
-            let expected = (width as f64).log2().ceil() as usize + 1;
-            let mut counts = std::collections::BTreeSet::new();
-            for k in [0u64, ks[width / 2], ks[width - 1], 10_000] {
-                let (_, c) = branchless_search_counted(&ks[..width], k);
-                counts.insert(c);
-                assert_eq!(c, expected, "width {width} key {k}");
-            }
-            assert_eq!(counts.len(), 1, "width {width} count varied");
         }
     }
 
@@ -735,6 +580,20 @@ mod tests {
         (base + le.saturating_sub(1), comparisons)
     }
 
+    /// Rank oracle for [`lane_lower_bound`]: plain branchless halving down
+    /// to one element — index of the *last* element `≤ key`, or `0` when
+    /// every element exceeds `key`.
+    fn branchless_lower_bound(keys: &[Key], key: Key) -> usize {
+        let mut base = 0usize;
+        let mut size = keys.len();
+        while size > 1 {
+            let half = size / 2;
+            base += usize::from(keys[base + half] <= key) * half;
+            size -= half;
+        }
+        base
+    }
+
     #[test]
     fn lane_lower_bound_matches_branchless_everywhere() {
         // The lane kernel and the pure branchless descent must agree on
@@ -754,7 +613,7 @@ mod tests {
             ] {
                 let (lane, _) = lane_lower_bound(w, k);
                 let (scalar, _) = lane_lower_bound_scalar(w, k);
-                let (branchless, _) = branchless_lower_bound(w, k);
+                let branchless = branchless_lower_bound(w, k);
                 assert_eq!(lane, branchless, "width {width} key {k}");
                 assert_eq!(scalar, branchless, "width {width} key {k}");
             }
@@ -814,32 +673,11 @@ mod tests {
             .collect();
         for k in [0u64, 3, 4, 5, 7, 9, 10] {
             let (lane, lc) = lane_lower_bound(&dup, k);
-            let (branchless, _) = branchless_lower_bound(&dup, k);
+            let branchless = branchless_lower_bound(&dup, k);
             let (scalar, sc) = lane_lower_bound_scalar(&dup, k);
             assert_eq!(lane, branchless, "dup key {k}");
             assert_eq!((lane, lc), (scalar, sc), "dup key {k}");
         }
-    }
-
-    #[test]
-    fn pipeline_depth_knob_clamps_and_restores() {
-        assert!((1..=MAX_PIPELINE_DEPTH).contains(&pipeline_depth()));
-        let prev = set_pipeline_depth(3);
-        assert_eq!(pipeline_depth(), 3);
-        set_pipeline_depth(MAX_PIPELINE_DEPTH + 100);
-        assert_eq!(pipeline_depth(), MAX_PIPELINE_DEPTH);
-        set_pipeline_depth(prev);
-    }
-
-    #[test]
-    fn prefetch_is_a_semantic_noop() {
-        let ks = keys();
-        prefetch_key(&ks, 0);
-        prefetch_key(&ks, ks.len() - 1);
-        prefetch_key(&ks, ks.len() + 10); // out of range: must not panic
-        prefetch_window(&ks, 10, 50);
-        prefetch_window(&ks, 999, 999);
-        prefetch_window(&[], 0, 0);
     }
 
     #[test]
@@ -848,8 +686,6 @@ mod tests {
         let ks = keys();
         // A radius near usize::MAX must clamp, not overflow.
         let r = bounded_search_with_fallback(&ks, ks[123], 500, usize::MAX);
-        assert_eq!(r.pos, Some(123));
-        let r = bounded_search(&ks, ks[123], 500, usize::MAX);
         assert_eq!(r.pos, Some(123));
     }
 }
