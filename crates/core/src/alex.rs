@@ -16,7 +16,7 @@
 //!   concentrate splits).
 //!
 //! Cost accounting (probes walked, elements shifted, splits, retrains) is
-//! exposed so the `ablation_update_channel` bench can price the attack.
+//! exposed so the `abl-update` entry of `lis::figures` can price the attack.
 
 use crate::error::{LisError, Result};
 use crate::index::{LearnedIndex, Lookup};

@@ -9,8 +9,8 @@
 //! The poisoning angle mirrors the range-index attack: the model is trained
 //! on the (poisoned) CDF, so an adversary who bends the CDF makes the
 //! *legitimate* keys' predicted slots pile up — collision chains grow, and
-//! with them the lookup cost. The `ablation_learned_hash` bench measures
-//! that effect; this module supplies the substrate with both the learned
+//! with them the lookup cost. The `abl-hash` entry of `lis::figures`
+//! measures that effect; this module supplies the substrate with both the learned
 //! and a multiplicative-random baseline hash.
 
 use crate::error::{LisError, Result};
@@ -134,20 +134,6 @@ impl HashIndex {
             }
         }
         Lookup::membership(false, bucket.len())
-    }
-
-    /// Mean chain length over occupied buckets.
-    pub fn mean_chain(&self) -> f64 {
-        let occupied: Vec<usize> = self
-            .buckets
-            .iter()
-            .map(Vec::len)
-            .filter(|&l| l > 0)
-            .collect();
-        if occupied.is_empty() {
-            return 0.0;
-        }
-        occupied.iter().sum::<usize>() as f64 / occupied.len() as f64
     }
 
     /// Longest collision chain.
@@ -290,6 +276,5 @@ mod tests {
         t.len = 3;
         assert!((t.expected_probes() - 4.0 / 3.0).abs() < 1e-12);
         assert_eq!(t.max_chain(), 2);
-        assert!((t.mean_chain() - 1.5).abs() < 1e-12);
     }
 }

@@ -13,8 +13,8 @@
 //! The attack-relevant property is the dual of the RMI's: a poisoned CDF
 //! does not *mis-predict* (the error bound is enforced at build time) — it
 //! forces the builder to cut **more segments**, inflating the index's
-//! memory footprint and search depth. `ablation_pla_attack` measures
-//! exactly that trade-off.
+//! memory footprint and search depth. The `abl-pla` entry of
+//! `lis::figures` measures exactly that trade-off.
 
 use crate::error::{LisError, Result};
 use crate::index::{LearnedIndex, Lookup};

@@ -225,6 +225,80 @@ impl OnlineReport {
     pub fn write_json(&self, path: &std::path::Path) -> std::io::Result<()> {
         std::fs::write(path, self.to_json())
     }
+
+    /// The sweep's claims as gates; empty when every one holds.
+    ///
+    /// At every scale: benign churn is never rejected, the undefended
+    /// campaign lands ≥ 90 % of its planned budget, each defense keeps
+    /// collateral below 20 %, and at least one denies most of the
+    /// campaign. From 100,000 keys, where the campaign moves mean cost
+    /// reliably: benign churn leaves serving flat (drift < 1.05), the
+    /// undefended campaign drifts it, and some defense claws drift back.
+    pub fn violations(&self) -> Vec<String> {
+        let mut out = Vec::new();
+        let (Some(benign), Some(undefended)) =
+            (self.scenario("benign"), self.scenario("undefended"))
+        else {
+            return vec!["the sweep lacks its benign or undefended scenario".into()];
+        };
+        if benign.benign_rejected > 0 {
+            out.push(format!(
+                "benign: admit-all rejected {} benign writes",
+                benign.benign_rejected
+            ));
+        }
+        if (undefended.poison_applied as f64) < 0.9 * undefended.poison_planned as f64 {
+            out.push(format!(
+                "undefended: the campaign landed {}/{} planned writes",
+                undefended.poison_applied, undefended.poison_planned
+            ));
+        }
+        let defended: Vec<&ScenarioReport> = SCENARIOS[2..]
+            .iter()
+            .filter_map(|name| self.scenario(name))
+            .collect();
+        for s in &defended {
+            if s.collateral() >= 0.2 {
+                out.push(format!(
+                    "{}: benign collateral {:.3} (bound 0.2)",
+                    s.name,
+                    s.collateral()
+                ));
+            }
+        }
+        if !defended
+            .iter()
+            .any(|s| s.recall() > 0.5 && s.poison_applied < undefended.poison_applied / 2)
+        {
+            out.push("no admission defense denied most of the campaign".into());
+        }
+        if self.config.keys >= 100_000 {
+            if benign.drift() >= 1.05 {
+                out.push(format!(
+                    "benign: churn drifted serving cost {:.3}x",
+                    benign.drift()
+                ));
+            }
+            if undefended.drift() <= benign.drift() + 0.01 {
+                out.push(format!(
+                    "undefended: drift {:.4} is not above benign {:.4}",
+                    undefended.drift(),
+                    benign.drift()
+                ));
+            }
+            let best = defended
+                .iter()
+                .map(|s| s.drift())
+                .fold(f64::INFINITY, f64::min);
+            if best >= undefended.drift() {
+                out.push(format!(
+                    "no defense clawed back drift: best {best:.4} vs undefended {:.4}",
+                    undefended.drift()
+                ));
+            }
+        }
+        out
+    }
 }
 
 /// The scenario grid of one sweep, in run order.

@@ -6,7 +6,7 @@
 //! (legitimate ∪ previously chosen poison keys) and commits the
 //! loss-maximising key. The paper does not prove global optimality of the
 //! greedy composition but reports that it matched brute force on every
-//! tested dataset — our `ablation_greedy_vs_bruteforce` bench and the
+//! tested dataset — the `abl-bruteforce` entry of `lis::figures` and the
 //! property tests below reproduce that observation.
 //!
 //! ## Engines

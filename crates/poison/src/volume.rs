@@ -13,7 +13,7 @@
 //!
 //! [`optimal_volume_allocation`] computes the exact optimum (without the
 //! boundary-key exchanges of Algorithm 2, which enlarge the space); the
-//! `ablation_volume_allocation` bench compares it against the greedy
+//! `abl-volume` entry of `lis::figures` compares it against the greedy
 //! allocator to quantify how much the heuristic leaves on the table.
 
 use crate::greedy::{greedy_poison, PoisonBudget};
@@ -160,7 +160,7 @@ pub fn dp_rmi_allocation(
 
 /// The DP-backed RMI attack: exact volume allocation followed by greedy key
 /// allocation per model. A *stronger* adversary than the paper's
-/// Algorithm 2 on skewed data (see the `ablation_volume_allocation` bench):
+/// Algorithm 2 on skewed data (see the `abl-volume` entry of `lis::figures`):
 /// the greedy exchange loop walks one poisoning slot at a time between
 /// neighbours and stalls in local optima that the DP jumps past.
 pub fn dp_rmi_attack(

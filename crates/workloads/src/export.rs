@@ -1,18 +1,11 @@
-//! Result tables: aligned console printing plus CSV export.
-//!
-//! Every experiment bench prints the paper's rows/series to stdout and
-//! writes the same table to `target/experiments/<name>.csv` so results can
-//! be diffed across runs and plotted externally.
+//! Result tables: aligned console printing for reports and CLI output.
 
 use std::fmt::Write as _;
-use std::fs;
-use std::io;
-use std::path::{Path, PathBuf};
 
 /// A simple rectangular result table.
 #[derive(Debug, Clone)]
 pub struct ResultTable {
-    /// Table name (used for the CSV file stem and the printed header).
+    /// Table name (the printed header).
     pub name: String,
     /// Column headers.
     pub headers: Vec<String>,
@@ -87,65 +80,6 @@ impl ResultTable {
     pub fn print(&self) {
         print!("{}", self.render());
     }
-
-    /// Serializes the table as CSV (headers + rows, RFC-4180 quoting for
-    /// cells containing separators).
-    pub fn to_csv(&self) -> String {
-        let mut out = String::new();
-        let _ = writeln!(
-            out,
-            "{}",
-            self.headers
-                .iter()
-                .map(|c| csv_cell(c))
-                .collect::<Vec<_>>()
-                .join(",")
-        );
-        for row in &self.rows {
-            let _ = writeln!(
-                out,
-                "{}",
-                row.iter()
-                    .map(|c| csv_cell(c))
-                    .collect::<Vec<_>>()
-                    .join(",")
-            );
-        }
-        out
-    }
-
-    /// Writes the CSV under `dir/<name>.csv`, creating the directory.
-    pub fn write_csv_in(&self, dir: &Path) -> io::Result<PathBuf> {
-        fs::create_dir_all(dir)?;
-        let path = dir.join(format!("{}.csv", sanitize(&self.name)));
-        fs::write(&path, self.to_csv())?;
-        Ok(path)
-    }
-
-    /// Writes the CSV to the workspace-standard `target/experiments/`.
-    pub fn write_csv(&self) -> io::Result<PathBuf> {
-        self.write_csv_in(Path::new("target/experiments"))
-    }
-}
-
-fn csv_cell(cell: &str) -> String {
-    if cell.contains([',', '"', '\n']) {
-        format!("\"{}\"", cell.replace('"', "\"\""))
-    } else {
-        cell.to_string()
-    }
-}
-
-fn sanitize(name: &str) -> String {
-    name.chars()
-        .map(|c| {
-            if c.is_alphanumeric() || c == '-' || c == '_' {
-                c
-            } else {
-                '_'
-            }
-        })
-        .collect()
 }
 
 #[cfg(test)]
@@ -167,28 +101,5 @@ mod tests {
         // "1000" widens column a; header and rows align.
         assert!(lines[1].starts_with("a   "));
         assert!(lines[3].starts_with("1   "));
-    }
-
-    #[test]
-    fn csv_roundtrip_quoting() {
-        let mut t = ResultTable::new("q", &["x"]);
-        t.push_row(["he,llo"]);
-        t.push_row(["say \"hi\""]);
-        let csv = t.to_csv();
-        assert!(csv.contains("\"he,llo\""));
-        assert!(csv.contains("\"say \"\"hi\"\"\""));
-    }
-
-    #[test]
-    fn write_csv_creates_file() {
-        let dir = lis_core::scratch::ScratchDir::new("export").unwrap();
-        let path = table().write_csv_in(&dir.path().join("nested")).unwrap();
-        let content = fs::read_to_string(&path).unwrap();
-        assert!(content.starts_with("a,bbbb,c"));
-    }
-
-    #[test]
-    fn sanitize_names() {
-        assert_eq!(sanitize("fig 5/uniform"), "fig_5_uniform");
     }
 }

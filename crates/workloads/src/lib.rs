@@ -10,7 +10,7 @@
 //!   rationale);
 //! * [`rng`] — deterministic per-trial RNG derivation and from-scratch
 //!   normal / log-normal samplers;
-//! * [`export`] — aligned console tables plus CSV export for bench output.
+//! * [`export`] — aligned console tables for reports and CLI output.
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]

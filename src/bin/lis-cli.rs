@@ -10,6 +10,7 @@
 //! lis-cli pipeline --dist lognormal --keys 5000 --attack rmi --defense trim --index rmi,btree
 //! lis-cli serve-bench --keys 100000 --index rmi,btree --attack-ratio 0,0.5 --workers 4
 //! lis-cli chaos --keys 100000 --scenario worker-panic --seed 7
+//! lis-cli figures --scale smoke --only fig4,fig6
 //! lis-cli list-indexes
 //! ```
 //!
@@ -51,6 +52,7 @@ fn main() -> ExitCode {
         "serve-bench" => cmd_serve_bench(&flags),
         "serve-online" => cmd_serve_online(&flags),
         "chaos" => cmd_chaos(&flags),
+        "figures" => cmd_figures(&flags),
         "list-indexes" => cmd_list_indexes(),
         "help" | "--help" | "-h" => {
             println!("{USAGE}");
@@ -151,6 +153,10 @@ COMMANDS:
                            delayed-publish | writer-crash | rollback |
                            kill-recover | torn-tail)
       --out FILE          JSON report path             [BENCH_chaos.json]
+
+  figures             the paper's figures and ablations, one pinned table
+      --scale S           smoke (checks pinned values) | paper     [smoke]
+      --only IDS          comma-separated entries, e.g. fig4,abl-trim  [all]
 
   list-indexes        print the registered index names
 
@@ -558,7 +564,15 @@ fn cmd_serve_online(flags: &Flags) -> Result<(), String> {
         .write_json(std::path::Path::new(&out))
         .map_err(|e| format!("writing {out}: {e}"))?;
     println!("\nwrote {out}");
-    Ok(())
+    let violations = report.violations();
+    for v in &violations {
+        println!("gate violation: {v}");
+    }
+    if violations.is_empty() {
+        Ok(())
+    } else {
+        Err(format!("{} online gate violation(s)", violations.len()))
+    }
 }
 
 fn cmd_chaos(flags: &Flags) -> Result<(), String> {
@@ -631,6 +645,29 @@ fn cmd_chaos(flags: &Flags) -> Result<(), String> {
         Ok(())
     } else {
         Err(format!("{} chaos gate violation(s)", violations.len()))
+    }
+}
+
+fn cmd_figures(flags: &Flags) -> Result<(), String> {
+    use lis::figures::{select, summary, Scale};
+
+    let scale: Scale = flag(flags, "scale", Scale::Smoke)?;
+    let mut outcomes = Vec::new();
+    for figure in select(flags.get("only").map(String::as_str))? {
+        let outcome = figure
+            .run(scale)
+            .map_err(|e| format!("{}: {e}", figure.id))?;
+        println!("{}", outcome.render());
+        outcomes.push(outcome);
+    }
+    summary(&outcomes).print();
+    let failed = outcomes.iter().filter(|o| !o.ok()).count();
+    if failed == 0 {
+        Ok(())
+    } else {
+        Err(format!(
+            "{failed} figure(s) off their claim or pinned values"
+        ))
     }
 }
 
@@ -879,6 +916,18 @@ mod tests {
 
         flags.insert("scenario".into(), "nope".into());
         assert!(cmd_chaos(&flags).is_err());
+    }
+
+    #[test]
+    fn figures_command_runs_selected_entries_and_rejects_bad_flags() {
+        let mut flags = Flags::new();
+        flags.insert("only".into(), "fig2,fig3".into());
+        cmd_figures(&flags).unwrap();
+        flags.insert("only".into(), "fig1".into());
+        assert!(cmd_figures(&flags).is_err());
+        flags.insert("only".into(), "fig2".into());
+        flags.insert("scale".into(), "huge".into());
+        assert!(cmd_figures(&flags).is_err());
     }
 
     #[test]

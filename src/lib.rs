@@ -28,7 +28,9 @@
 //! * [`chaos`] — the robustness ladder: deterministic fault injection
 //!   (see [`lis_server::fault`]) against the live server, scored on
 //!   availability, correctness under faults, recovery time, and
-//!   attack-triggered epoch rollback, producing `BENCH_chaos.json`.
+//!   attack-triggered epoch rollback, producing `BENCH_chaos.json`;
+//! * [`figures`] — the paper's figures and ablations as one table of
+//!   pinned, deterministic quantities behind `lis-cli figures`.
 //!
 //! Wall-clock performance is measured by the separate `benchmark/`
 //! package, not by this crate.
@@ -66,6 +68,7 @@ pub use lis_server as server;
 pub use lis_workloads as workloads;
 
 pub mod chaos;
+pub mod figures;
 pub mod pipeline;
 
 /// Convenience prelude importing the types used by almost every experiment.
