@@ -108,11 +108,6 @@ impl RmiAttackResult {
         ratio_loss(self.poisoned_rmi_loss, self.clean_rmi_loss)
     }
 
-    /// Per-model ratios (the boxplot samples of Figures 6–7).
-    pub fn model_ratios(&self) -> Vec<f64> {
-        self.models.iter().map(ModelOutcome::ratio).collect()
-    }
-
     /// All poisoning keys across models.
     pub fn poison_keys(&self) -> Vec<Key> {
         self.models
@@ -509,16 +504,5 @@ mod tests {
         assert_eq!(res.total_poison, 0);
         assert!((res.rmi_ratio() - 1.0).abs() < 1e-9);
         assert_eq!(res.exchanges_applied, 0);
-    }
-
-    #[test]
-    fn model_ratios_align_with_models() {
-        let ks = uniform(300, 7);
-        let res = rmi_attack(&ks, 6, &RmiAttackConfig::new(10.0)).unwrap();
-        let ratios = res.model_ratios();
-        assert_eq!(ratios.len(), 6);
-        for (r, m) in ratios.iter().zip(&res.models) {
-            assert_eq!(*r, m.ratio());
-        }
     }
 }

@@ -155,11 +155,6 @@ impl LatencyHistogram {
         self.value_at_quantile(0.50)
     }
 
-    /// 90th percentile.
-    pub fn p90(&self) -> u64 {
-        self.value_at_quantile(0.90)
-    }
-
     /// 99th percentile.
     pub fn p99(&self) -> u64 {
         self.value_at_quantile(0.99)
@@ -352,10 +347,10 @@ mod tests {
         assert_eq!(a.min(), 1);
         assert_eq!(a.max(), u64::MAX);
         assert_eq!(a.value_at_quantile(1.0), u64::MAX);
-        // Three of four samples sit in the top bucket: p90 already
-        // resolves there and must report the clamped exact max rather
-        // than the bucket's nominal upper bound overshooting count.
-        assert_eq!(a.p90(), u64::MAX);
+        // Three of four samples sit in the top bucket: the 90th percentile
+        // already resolves there and must report the clamped exact max
+        // rather than the bucket's nominal upper bound overshooting count.
+        assert_eq!(a.value_at_quantile(0.90), u64::MAX);
         // The mean uses the u128 sum: two u64::MAX samples must not wrap.
         assert!(a.mean() > (u64::MAX / 2) as f64);
     }

@@ -1,26 +1,23 @@
 //! # lis-server — the concurrent serving front end
 //!
 //! The paper attacks learned indexes *as they serve queries*: poisoning
-//! degrades lookup cost under real traffic. This crate supplies the
-//! traffic. It turns any built [`DynIndex`](lis_core::index::DynIndex) —
-//! monolithic or `sharded:<name>:<N>` — into a served system:
+//! degrades the lookup cost every client pays. This crate turns any built
+//! [`DynIndex`](lis_core::index::DynIndex) — monolithic or
+//! `sharded:<name>:<N>` — into a served system:
 //!
 //! * [`queue`] — a bounded MPSC request queue with backpressure and
 //!   adaptive micro-batch draining (flush on batch size or deadline);
 //! * [`server`] — the worker pool pulling micro-batches through
 //!   `DynIndex::lookup_batch`, per-request latency recording, and the
-//!   [`ServeReport`] (p50/p90/p99/max latency, throughput, mean batch
+//!   [`ServeReport`] (p50/p99/max latency, throughput, mean batch
 //!   size, mean lookup cost);
 //! * [`histogram`] — the HDR-style log-linear [`LatencyHistogram`] behind
 //!   those percentiles;
-//! * [`traffic`] — composable [`TrafficSource`]s: a benign member-key
-//!   stream, a replaying live adversary, and their ratio-controlled mix,
-//!   plus the [`drive`] helper running source fleets on generator threads;
 //! * [`write`] — the online write plane: [`WriteOp`] requests drain a
 //!   dedicated bounded queue into a writer thread that mutates the
 //!   authoritative keyset and publishes epoch-swapped snapshots (readers
 //!   never block on writers), screened by pluggable [`AdmissionPolicy`]
-//!   filters — the hook where poisoning defenses meet live traffic;
+//!   filters — the hook where poisoning defenses meet live writes;
 //! * [`durability`] — the durability plane: a length-prefixed,
 //!   CRC-checksummed write-ahead log appended before any write ticket is
 //!   acked, periodic checksummed snapshots with WAL truncation, and
@@ -36,9 +33,10 @@
 //!   attack-triggered epoch rollback via [`RollbackPolicy`] — lives in
 //!   [`server`] and is driven through [`Server::builder`].
 //!
-//! One serve code path covers both offline experiments (the `lis`
-//! pipeline's batched measurements run through [`Server::serve_all`]) and
-//! the live latency-vs-throughput harness (`lis-cli serve-bench`).
+//! One serve code path covers offline experiments (the `lis` pipeline's
+//! batched measurements run through [`Server::serve_all`]), the online
+//! attack plane, and the chaos ladder; wall-clock latency and throughput
+//! are measured by the separate `benchmark/` package.
 //!
 //! ## Example
 //!
@@ -69,7 +67,6 @@ pub mod pool;
 pub mod queue;
 pub mod server;
 mod sync;
-pub mod traffic;
 pub mod write;
 
 pub use durability::{recover, Durability, DurabilityLevel, DurableStore, Recovered};
@@ -80,7 +77,6 @@ pub use server::{
     IndexBuild, ResponseTicket, ServeConfig, ServeReport, Server, ServerBuilder, ServerHandle,
     WindowStats,
 };
-pub use traffic::{drive, BenignSource, MixedSource, ReplaySource, TrafficSource};
 pub use write::{
     Admission, AdmissionChain, AdmissionPolicy, AdmitAll, DriftVerdict, RollbackPolicy, WriteOp,
     WriteStatus, WriteTicket, TRANSIENT_FAILURE_PREFIX,

@@ -9,7 +9,7 @@
 //! [`ResponseTicket::wait`]). Every response records its
 //! submit-to-completion latency into a shared [`LatencyHistogram`], and the
 //! server counts requests, batches, and lookup cost units, so one
-//! [`ServeReport`] carries p50/p90/p99/max latency, throughput, mean batch
+//! [`ServeReport`] carries p50/p99/max latency, throughput, mean batch
 //! size, mean per-lookup cost, and a windowed [`WindowStats`] time series.
 //!
 //! [`ServerBuilder::start_online`] additionally opens the **write plane**:
@@ -30,8 +30,9 @@
 //!   through the queue and returns the answers in probe order; the
 //!   experiment pipeline measures lookup cost through this path, so the
 //!   harness and the live front end exercise identical serving code;
-//! * **live traffic** — generator threads (see [`crate::traffic`]) submit
-//!   keys continuously while the histogram tracks tail latency in flight;
+//! * **live traffic** — client threads submit keys continuously through
+//!   [`ServerHandle::submit`] while the histogram tracks tail latency in
+//!   flight;
 //! * **online mutation** — write campaigns (see `lis_online`) poison the
 //!   served keyset *while* benign traffic measures the drift.
 
@@ -566,12 +567,6 @@ impl ServeReport {
     /// quantity poisoning inflates.
     pub fn mean_cost(&self) -> f64 {
         self.cost_units as f64 / (self.served as f64).max(1.0)
-    }
-
-    /// Millions of lookups per second over the session, from the shared
-    /// served counter.
-    pub fn mlookups_per_s(&self) -> f64 {
-        self.throughput() / 1e6
     }
 }
 

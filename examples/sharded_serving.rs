@@ -1,16 +1,14 @@
-//! Sharded parallel serving and clean-build caching.
+//! Sharded parallel serving.
 //!
 //! The production-scale story: split a large keyset into contiguous range
 //! shards, serve each from its own learned structure behind one
-//! `sharded:<name>:<N>` registry name, fan batched lookups out across a
-//! scoped thread pool — and stop rebuilding identical clean baselines when
-//! sweeping attacks over the same workload.
+//! `sharded:<name>:<N>` registry name, and fan batched lookups out across
+//! a scoped thread pool — with answers identical to the monolithic index.
+//! Timing the two is the `benchmark/` package's job (`index_lookup`).
 //!
 //! Run with `cargo run --release --example sharded_serving`.
 
-use lis::pipeline::BuildCache;
 use lis::prelude::*;
-use std::time::Instant;
 
 fn main() {
     // --- 1. A serving-scale keyset --------------------------------------
@@ -37,59 +35,15 @@ fn main() {
 
     // --- 3. Same answers, redistributed work ----------------------------
     let probes: Vec<Key> = ks.keys().iter().step_by(2).copied().collect();
-    let t = Instant::now();
     let plain_hits = plain.lookup_batch(&probes);
-    let plain_secs = t.elapsed().as_secs_f64();
-    let t = Instant::now();
     let sharded_hits = sharded.lookup_batch(&probes);
-    let sharded_secs = t.elapsed().as_secs_f64();
     assert!(plain_hits
         .iter()
         .zip(&sharded_hits)
         .all(|(p, s)| p.found == s.found && p.pos == s.pos));
     println!(
-        "{} probes — rmi: {:.3}s, sharded:rmi:8: {:.3}s ({:.2}x, {} worker threads), answers identical",
+        "{} probes — rmi and sharded:rmi:8 answer identically ({} worker threads)",
         probes.len(),
-        plain_secs,
-        sharded_secs,
-        plain_secs / sharded_secs.max(1e-9),
         std::thread::available_parallelism().map_or(1, |p| p.get()),
     );
-
-    // --- 4. Sweeping attacks without rebuilding clean baselines ---------
-    // The clean build depends only on (workload, seed, trial, index); a
-    // shared BuildCache turns every repeat into a lookup.
-    let cache = BuildCache::new();
-    let spec = WorkloadSpec::Uniform {
-        n: 20_000,
-        density: 0.1,
-    };
-    for pct in [5.0, 10.0, 20.0] {
-        let report = Pipeline::new(spec.clone())
-            .attack(lis::poison::GreedyCdfAttack {
-                budget: PoisonBudget::percentage(pct, 20_000).expect("legal pct"),
-            })
-            .index("rmi")
-            .index("sharded:rmi:8")
-            .queries(2_000)
-            .cache(cache.clone())
-            .run()
-            .expect("pipeline");
-        let rmi = report.index("rmi").expect("rmi row");
-        let shard = report.index("sharded:rmi:8").expect("sharded row");
-        println!(
-            "poison {pct:>4.0}% — rmi loss ratio {:.1}x, sharded loss ratio {:.1}x, members ok: {}",
-            rmi.loss_ratio(),
-            shard.loss_ratio(),
-            rmi.all_members_found && shard.all_members_found
-        );
-    }
-    println!(
-        "build cache after the sweep: {} clean builds, {} hits, {} misses",
-        cache.len(),
-        cache.hits(),
-        cache.misses()
-    );
-    assert_eq!(cache.misses(), 2, "clean builds constructed exactly once");
-    assert_eq!(cache.hits(), 4, "two later sweep rounds served from cache");
 }

@@ -3,68 +3,54 @@
 //!
 //! ```text
 //! lis-cli generate --dist lognormal --keys 10000 --density 0.05 --out keys.txt
-//! lis-cli attack-regression --dist uniform --keys 1000 --density 0.1 --poison-pct 10
-//! lis-cli attack-rmi --dist lognormal --keys 20000 --density 0.05 --model-size 200 --poison-pct 10 --alpha 3
-//! lis-cli defend --dist uniform --keys 1000 --density 0.1 --poison-pct 10
-//! lis-cli inspect --in keys.txt --index rmi,btree,pla
 //! lis-cli pipeline --dist lognormal --keys 5000 --attack rmi --defense trim --index rmi,btree
-//! lis-cli serve-bench --keys 100000 --index rmi,btree --attack-ratio 0,0.5 --workers 4
+//! lis-cli pipeline --attack none --in keys.txt --index rmi,btree,pla
+//! lis-cli serve-online --keys 20000 --requests 5000 --out BENCH_online.json
 //! lis-cli chaos --keys 100000 --scenario worker-panic --seed 7
 //! lis-cli figures --scale smoke --only fig4,fig6
 //! lis-cli list-indexes
 //! ```
 //!
-//! Victim structures are resolved by name through the
-//! [`IndexRegistry`]; `list-indexes` prints what is available. Argument
-//! parsing is hand-rolled (the workspace intentionally carries no CLI
-//! dependency); every flag takes the form `--name value`.
+//! Every experiment on one keyset is a `pipeline` run: sample (or read)
+//! the keys, poison them with one attack, optionally defend, build the
+//! victims, and report Ratio Loss and `Lookup.cost`. Victim structures are
+//! resolved by name through the [`IndexRegistry`]; `list-indexes` prints
+//! what is available. Argument parsing is hand-rolled (the workspace
+//! intentionally carries no CLI dependency); every flag takes the form
+//! `--name value`, and a flag the command does not read, or one given
+//! twice, is a usage error.
 
 #![forbid(unsafe_code)]
 
-use lis::defense::{
-    evaluate_defense, trim_defense, DensityDefense, IqrDefense, TrimConfig, TrimDefense,
-};
-use lis::pipeline::{BuildCache, Pipeline};
+use lis::defense::{DensityDefense, IqrDefense, TrimDefense};
+use lis::pipeline::{Pipeline, PipelineReport};
 use lis::poison::{
     DpRmiPoisonAttack, GreedyCdfAttack, MixedAttack, RemovalAttack, RmiPoisonAttack,
 };
 use lis::prelude::*;
-use lis::workloads::realsim;
-use lis::workloads::{domain_for_density, lognormal_keys, normal_keys, trial_rng, uniform_keys};
 use std::collections::HashMap;
 use std::process::ExitCode;
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let Some((cmd, flags)) = parse_args(&args) else {
-        eprintln!("{USAGE}");
-        return ExitCode::from(2);
-    };
-    let result = match cmd.as_str() {
-        "generate" => cmd_generate(&flags),
-        "attack-regression" => cmd_attack_regression(&flags),
-        "attack-rmi" => cmd_attack_rmi(&flags),
-        "attack-rmi-dp" => cmd_attack_rmi_dp(&flags),
-        "attack-removal" => cmd_attack_removal(&flags),
-        "defend" => cmd_defend(&flags),
-        "inspect" => cmd_inspect(&flags),
-        "pipeline" => cmd_pipeline(&flags),
-        "serve-bench" => cmd_serve_bench(&flags),
-        "serve-online" => cmd_serve_online(&flags),
-        "chaos" => cmd_chaos(&flags),
-        "figures" => cmd_figures(&flags),
-        "list-indexes" => cmd_list_indexes(),
-        "help" | "--help" | "-h" => {
-            println!("{USAGE}");
-            Ok(())
+    ExitCode::from(run(&args))
+}
+
+/// Runs one command line and returns its exit code: 0 on success, 1 when
+/// the command fails, 2 on a usage error (nothing runs).
+fn run(args: &[String]) -> u8 {
+    let (command, flags) = match parse_args(args) {
+        Ok(parsed) => parsed,
+        Err(e) => {
+            eprintln!("error: {e}\n\n{USAGE}");
+            return 2;
         }
-        other => Err(format!("unknown command '{other}'\n{USAGE}")),
     };
-    match result {
-        Ok(()) => ExitCode::SUCCESS,
+    match (command.run)(&flags) {
+        Ok(()) => 0,
         Err(e) => {
             eprintln!("error: {e}");
-            ExitCode::FAILURE
+            1
         }
     }
 }
@@ -83,27 +69,9 @@ COMMANDS:
       --seed S        RNG seed                                    [42]
       --out FILE      output path (default: stdout)
 
-  attack-regression   greedy CDF poisoning of a linear regression
-      (generate flags) --poison-pct P                             [10]
-
-  attack-rmi          Algorithm-2 attack on a two-stage RMI
-      (generate flags) --poison-pct P --model-size M --alpha A    [10 / 100 / 3]
-
-  attack-rmi-dp       exact-DP volume allocation variant (stronger)
-      (same flags as attack-rmi)
-
-  attack-removal      greedy key-deletion adversary
-      (generate flags) --remove N                                 [50]
-
-  defend              run the TRIM defense against the greedy attack
-      (generate flags) --poison-pct P                             [10]
-
-  inspect             index statistics for a keyset
-      --in FILE       keys, one per line (or generate flags)
-      --index NAMES   comma-separated registry names       [rmi,btree,pla]
-
   pipeline            workload -> attack -> defense -> index sweep
-      (generate flags)
+      (generate flags except --out)
+      --in FILE       read keys, one per line, instead of sampling
       --index NAMES   comma-separated registry names       [rmi,btree]
       --attack A      none|greedy|rmi|rmi-dp|removal|mixed      [greedy]
       --defense D     none|trim|iqr|density                       [none]
@@ -112,19 +80,7 @@ COMMANDS:
       --alpha A       per-model threshold multiplier                 [3]
       --queries Q     member-key probes per index                 [2000]
       --shards N      serve each victim as sharded:<name>:N          [1]
-
-  serve-bench         concurrent serving harness with live adversary traffic
-      (generate flags)
-      --index NAMES       comma-separated registry names     [rmi,btree]
-      --shards N          serve each victim as sharded:<name>:N      [1]
-      --workers W         worker threads draining micro-batches      [4]
-      --batch B           max requests per micro-batch              [64]
-      --deadline-us D     micro-batch flush deadline in µs         [200]
-      --attack-ratio R    comma-separated adversarial fractions [0,0.1,0.5]
-      --requests N        requests per (index, ratio) session    [20000]
-      --clients C         concurrent traffic generator threads       [2]
-      --poison-pct P      RMI-attack budget percentage              [10]
-      --model-size M      keys per second-stage model (campaign)   [100]
+      exits nonzero if any victim loses a member key
 
   serve-online        online attack plane: live poisoning + admission defenses
       --keys N            victim keyset size                      [200000]
@@ -164,17 +120,82 @@ COMMANDS:
 
 type Flags = HashMap<String, String>;
 
-/// Splits `[command, --k v, --k v, ...]`; returns `None` on malformed input.
-fn parse_args(args: &[String]) -> Option<(String, Flags)> {
+/// One command: its name, the only flags it reads (space-separated), and
+/// its body.
+#[derive(Debug)]
+struct Command {
+    name: &'static str,
+    flags: &'static str,
+    run: fn(&Flags) -> Result<(), String>,
+}
+
+const COMMANDS: &[Command] = &[
+    Command {
+        name: "generate",
+        flags: "dist keys density seed out",
+        run: cmd_generate,
+    },
+    Command {
+        name: "pipeline",
+        flags: "in dist keys density seed index attack defense poison-pct model-size alpha queries shards",
+        run: cmd_pipeline,
+    },
+    Command {
+        name: "serve-online",
+        flags: "keys density index poison-pct benign-writes requests readers workers seed out",
+        run: cmd_serve_online,
+    },
+    Command {
+        name: "chaos",
+        flags: "keys density index requests writes clients workers seed poison-pct scenario out",
+        run: cmd_chaos,
+    },
+    Command {
+        name: "figures",
+        flags: "scale only",
+        run: cmd_figures,
+    },
+    Command {
+        name: "list-indexes",
+        flags: "",
+        run: cmd_list_indexes,
+    },
+    Command {
+        name: "help",
+        flags: "",
+        run: cmd_help,
+    },
+];
+
+/// Splits `[command, --k v, --k v, ...]` and checks every flag against
+/// the command's own list, so a typo or a repeat fails before any work.
+fn parse_args(args: &[String]) -> Result<(&'static Command, Flags), String> {
     let mut it = args.iter();
-    let cmd = it.next()?.clone();
-    let mut flags = HashMap::new();
-    while let Some(flag) = it.next() {
-        let name = flag.strip_prefix("--")?;
-        let value = it.next()?;
-        flags.insert(name.to_string(), value.clone());
+    let name = match it.next().map(String::as_str) {
+        None => return Err("no command given".into()),
+        Some("--help" | "-h") => "help",
+        Some(name) => name,
+    };
+    let command = COMMANDS
+        .iter()
+        .find(|c| c.name == name)
+        .ok_or_else(|| format!("unknown command '{name}'"))?;
+    let mut flags = Flags::new();
+    while let Some(arg) = it.next() {
+        let flag = arg
+            .strip_prefix("--")
+            .ok_or_else(|| format!("{name}: expected --flag, got '{arg}'"))?;
+        if !command.flags.split(' ').any(|known| known == flag) {
+            return Err(format!("{name}: unknown flag --{flag}"));
+        }
+        let value = it
+            .next()
+            .ok_or_else(|| format!("{name}: --{flag} needs a value"))?;
+        if flags.insert(flag.to_string(), value.clone()).is_some() {
+            return Err(format!("{name}: --{flag} given more than once"));
+        }
     }
-    Some((cmd, flags))
+    Ok((command, flags))
 }
 
 fn flag<T: std::str::FromStr>(flags: &Flags, name: &str, default: T) -> Result<T, String> {
@@ -197,29 +218,18 @@ fn load_or_generate(flags: &Flags) -> Result<KeySet, String> {
         let keys = keys.map_err(|e| format!("parsing {path}: {e}"))?;
         return KeySet::from_keys(keys).map_err(|e| e.to_string());
     }
-    let dist = flags.get("dist").map(String::as_str).unwrap_or("uniform");
     let n: usize = flag(flags, "keys", 1_000)?;
     let density: f64 = flag(flags, "density", 0.1)?;
     let seed: u64 = flag(flags, "seed", 42)?;
-    let mut rng = trial_rng(seed, 0);
-    match dist {
-        "uniform" => {
-            let domain = domain_for_density(n, density).map_err(|e| e.to_string())?;
-            uniform_keys(&mut rng, n, domain).map_err(|e| e.to_string())
-        }
-        "normal" => {
-            let domain = domain_for_density(n, density).map_err(|e| e.to_string())?;
-            normal_keys(&mut rng, n, domain).map_err(|e| e.to_string())
-        }
-        "lognormal" => {
-            let domain = domain_for_density(n, density).map_err(|e| e.to_string())?;
-            lognormal_keys(&mut rng, n, domain).map_err(|e| e.to_string())
-        }
-        "miami" => realsim::miami_salaries_scaled(seed, n.min(realsim::miami_stats::N))
-            .map_err(|e| e.to_string()),
-        "osm" => realsim::osm_latitudes_scaled(seed, n).map_err(|e| e.to_string()),
-        other => Err(format!("unknown distribution '{other}'")),
-    }
+    let spec = match flags.get("dist").map(String::as_str).unwrap_or("uniform") {
+        "uniform" => WorkloadSpec::Uniform { n, density },
+        "normal" => WorkloadSpec::Normal { n, density },
+        "lognormal" => WorkloadSpec::LogNormal { n, density },
+        "miami" => WorkloadSpec::MiamiSalaries { n },
+        "osm" => WorkloadSpec::OsmLatitudes { n },
+        other => return Err(format!("unknown distribution '{other}'")),
+    };
+    spec.sample(seed, 0).map_err(|e| e.to_string())
 }
 
 fn cmd_generate(flags: &Flags) -> Result<(), String> {
@@ -236,287 +246,6 @@ fn cmd_generate(flags: &Flags) -> Result<(), String> {
         }
         None => print!("{out}"),
     }
-    Ok(())
-}
-
-fn cmd_attack_regression(flags: &Flags) -> Result<(), String> {
-    let ks = load_or_generate(flags)?;
-    let pct: f64 = flag(flags, "poison-pct", 10.0)?;
-    let budget = PoisonBudget::percentage(pct, ks.len()).map_err(|e| e.to_string())?;
-    let plan = greedy_poison(&ks, budget).map_err(|e| e.to_string())?;
-    println!("keyset:        {ks}");
-    println!("poison keys:   {} ({pct}%)", plan.keys.len());
-    println!("clean MSE:     {:.6}", plan.clean_mse);
-    println!("poisoned MSE:  {:.6}", plan.final_mse());
-    println!("ratio loss:    {:.2}x", plan.ratio_loss());
-    if let Some(path) = flags.get("out") {
-        let body: String = plan.keys.iter().map(|k| format!("{k}\n")).collect();
-        std::fs::write(path, body).map_err(|e| format!("writing {path}: {e}"))?;
-        eprintln!("poison keys written to {path}");
-    }
-    Ok(())
-}
-
-fn cmd_attack_rmi(flags: &Flags) -> Result<(), String> {
-    let ks = load_or_generate(flags)?;
-    let pct: f64 = flag(flags, "poison-pct", 10.0)?;
-    let model_size: usize = flag(flags, "model-size", 100)?;
-    let alpha: f64 = flag(flags, "alpha", 3.0)?;
-    let num_models = (ks.len() / model_size).max(1);
-    let cfg = RmiAttackConfig::new(pct)
-        .with_alpha(alpha)
-        .with_max_exchanges(num_models.min(64));
-    let res = rmi_attack(&ks, num_models, &cfg).map_err(|e| e.to_string())?;
-    let ratios = res.model_ratios();
-    let summary = BoxplotSummary::from_samples(&ratios).ok_or("no models")?;
-    println!("keyset:            {ks}");
-    println!("second stage:      {num_models} models x {model_size} keys");
-    println!(
-        "poison placed:     {} ({pct}% requested, alpha {alpha})",
-        res.total_poison
-    );
-    println!("exchanges applied: {}", res.exchanges_applied);
-    println!("per-model ratio:   {summary}");
-    println!("RMI ratio loss:    {:.2}x", res.rmi_ratio());
-    Ok(())
-}
-
-fn cmd_attack_rmi_dp(flags: &Flags) -> Result<(), String> {
-    let ks = load_or_generate(flags)?;
-    let pct: f64 = flag(flags, "poison-pct", 10.0)?;
-    let model_size: usize = flag(flags, "model-size", 100)?;
-    let alpha: f64 = flag(flags, "alpha", 3.0)?;
-    let num_models = (ks.len() / model_size).max(1);
-    let res = lis::poison::volume::dp_rmi_attack(&ks, num_models, pct, alpha)
-        .map_err(|e| e.to_string())?;
-    let ratios = res.model_ratios();
-    let summary = BoxplotSummary::from_samples(&ratios).ok_or("no models")?;
-    println!("keyset:          {ks}");
-    println!("second stage:    {num_models} models x {model_size} keys");
-    println!(
-        "poison placed:   {} ({pct}% requested, alpha {alpha}, exact DP)",
-        res.total_poison
-    );
-    println!("per-model ratio: {summary}");
-    println!("RMI ratio loss:  {:.2}x", res.rmi_ratio());
-    Ok(())
-}
-
-fn cmd_attack_removal(flags: &Flags) -> Result<(), String> {
-    let ks = load_or_generate(flags)?;
-    let count: usize = flag(flags, "remove", 50)?;
-    let campaign = lis::poison::greedy_removal(&ks, count).map_err(|e| e.to_string())?;
-    println!("keyset:        {ks}");
-    println!("keys deleted:  {}", campaign.removed.len());
-    println!("clean MSE:     {:.6}", campaign.clean_mse);
-    println!("poisoned MSE:  {:.6}", campaign.final_mse());
-    println!("ratio loss:    {:.2}x", campaign.ratio_loss());
-    Ok(())
-}
-
-fn cmd_defend(flags: &Flags) -> Result<(), String> {
-    let ks = load_or_generate(flags)?;
-    let pct: f64 = flag(flags, "poison-pct", 10.0)?;
-    let budget = PoisonBudget::percentage(pct, ks.len()).map_err(|e| e.to_string())?;
-    let plan = greedy_poison(&ks, budget).map_err(|e| e.to_string())?;
-    let poisoned = plan.poisoned_keyset(&ks).map_err(|e| e.to_string())?;
-    let out = trim_defense(&poisoned, &TrimConfig::new(ks.len())).map_err(|e| e.to_string())?;
-    let report = evaluate_defense(&ks, &plan.keys, &out.retained).map_err(|e| e.to_string())?;
-    println!("attack ratio loss:   {:.2}x", report.ratio_before());
-    println!("TRIM iterations:     {}", out.iterations);
-    println!("poison recall:       {:.1}%", 100.0 * report.poison_recall);
-    println!(
-        "removal precision:   {:.1}%",
-        100.0 * report.removal_precision
-    );
-    println!("legitimate removed:  {}", report.legit_removed);
-    println!(
-        "post-defense ratio:  {:.2}x (recovery {:.0}%)",
-        report.ratio_after(),
-        100.0 * report.recovery()
-    );
-    Ok(())
-}
-
-fn cmd_inspect(flags: &Flags) -> Result<(), String> {
-    let ks = load_or_generate(flags)?;
-    let names = flags
-        .get("index")
-        .cloned()
-        .unwrap_or_else(|| "rmi,btree,pla".into());
-    let registry = IndexRegistry::with_defaults();
-    let probes: Vec<Key> = ks
-        .keys()
-        .iter()
-        .step_by((ks.len() / 256).max(1))
-        .copied()
-        .collect();
-    println!("keyset: {ks}\n");
-    println!(
-        "{:<12} {:>12} {:>12} {:>14}",
-        "index", "loss", "mem_bytes", "mean_cost"
-    );
-    for name in names.split(',').map(str::trim).filter(|s| !s.is_empty()) {
-        let idx = registry.build(name, &ks).map_err(|e| e.to_string())?;
-        let results = idx.lookup_batch(&probes);
-        let mean_cost =
-            results.iter().map(|r| r.cost).sum::<usize>() as f64 / probes.len().max(1) as f64;
-        if let Some(miss) = results.iter().position(|r| !r.found) {
-            return Err(format!("{name} lost member key {}", probes[miss]));
-        }
-        println!(
-            "{:<12} {:>12.4} {:>12} {:>14.2}",
-            idx.name(),
-            idx.loss(),
-            idx.memory_bytes(),
-            mean_cost
-        );
-    }
-    Ok(())
-}
-
-fn cmd_serve_bench(flags: &Flags) -> Result<(), String> {
-    use lis::server::{drive, BenignSource, MixedSource, ReplaySource, TrafficSource};
-    use std::sync::Arc;
-    use std::time::Duration;
-
-    let ks = load_or_generate(flags)?;
-    let seed: u64 = flag(flags, "seed", 42)?;
-    let pct: f64 = flag(flags, "poison-pct", 10.0)?;
-    let workers: usize = flag(flags, "workers", 4)?;
-    let batch: usize = flag(flags, "batch", 64)?;
-    let deadline_us: u64 = flag(flags, "deadline-us", 200)?;
-    let requests: usize = flag(flags, "requests", 20_000)?;
-    let clients: usize = flag(flags, "clients", 2)?;
-    let shards: usize = flag(flags, "shards", 1)?;
-    if shards == 0 {
-        return Err("--shards must be at least 1 (1 serves unsharded)".into());
-    }
-    if clients == 0 || requests == 0 {
-        return Err("--clients and --requests must be at least 1".into());
-    }
-    let ratios: Vec<f64> = flags
-        .get("attack-ratio")
-        .map(String::as_str)
-        .unwrap_or("0,0.1,0.5")
-        .split(',')
-        .map(str::trim)
-        .filter(|s| !s.is_empty())
-        .map(|s| {
-            s.parse::<f64>()
-                .map_err(|_| format!("invalid value '{s}' for --attack-ratio"))
-                .and_then(|r| {
-                    if (0.0..=1.0).contains(&r) {
-                        Ok(r)
-                    } else {
-                        Err(format!("--attack-ratio {r} outside [0, 1]"))
-                    }
-                })
-        })
-        .collect::<Result<_, _>>()?;
-    if ratios.is_empty() {
-        return Err("--attack-ratio needs at least one fraction".into());
-    }
-
-    // The live adversary replays the campaign's poison keys; the victims
-    // serve the keyset that campaign already corrupted. Algorithm 2 is the
-    // campaign that inflates second-stage errors — i.e. served lookup
-    // cost — not just the root regression's loss.
-    let model_size: usize = flag(flags, "model-size", 100)?;
-    let num_models = (ks.len() / model_size).max(1);
-    let outcome = RmiPoisonAttack {
-        num_models,
-        cfg: RmiAttackConfig::new(pct).with_max_exchanges(num_models.min(64)),
-    }
-    .run(&ks)
-    .map_err(|e| e.to_string())?;
-    println!(
-        "serve-bench: {} keys, {} poison keys ({pct}%), attack ratio loss {:.1}x",
-        ks.len(),
-        outcome.inserted.len(),
-        outcome.ratio_loss()
-    );
-    println!(
-        "{} workers, batch {batch}, deadline {deadline_us}µs, {clients} clients x {} requests\n",
-        workers,
-        requests.div_ceil(clients)
-    );
-
-    let registry = IndexRegistry::with_defaults();
-    let names = flags
-        .get("index")
-        .cloned()
-        .unwrap_or_else(|| "rmi,btree".into());
-    let cfg = lis::server::ServeConfig::new()
-        .workers(workers)
-        .batch(batch)
-        .deadline(Duration::from_micros(deadline_us));
-
-    let mut table = lis::workloads::ResultTable::new(
-        "serve_bench",
-        &[
-            "index",
-            "attack_ratio",
-            "p50_us",
-            "p90_us",
-            "p99_us",
-            "max_us",
-            "kreq_per_s",
-            "mlookups_per_s",
-            "mean_batch",
-            "mean_cost",
-        ],
-    );
-    for name in names.split(',').map(str::trim).filter(|s| !s.is_empty()) {
-        let resolved = if shards > 1 {
-            format!("sharded:{name}:{shards}")
-        } else {
-            name.to_string()
-        };
-        if !registry.resolves(&resolved) {
-            return Err(format!(
-                "unknown index '{resolved}' (available: {}, sharded:<name>:<N>)",
-                registry.names().join(", ")
-            ));
-        }
-        let index = Arc::new(
-            registry
-                .build(&resolved, &outcome.poisoned)
-                .map_err(|e| e.to_string())?,
-        );
-        for &ratio in &ratios {
-            let server = lis::server::Server::start(Arc::clone(&index), cfg);
-            let sources: Vec<Box<dyn TrafficSource>> = (0..clients)
-                .map(|c| {
-                    let benign = BenignSource::new(ks.keys().to_vec(), seed ^ c as u64)
-                        .map_err(|e| e.to_string())?;
-                    let adversary =
-                        ReplaySource::new(outcome.inserted.clone()).map_err(|e| e.to_string())?;
-                    Ok(Box::new(MixedSource::new(
-                        benign,
-                        adversary,
-                        ratio,
-                        seed.wrapping_add(0xA77A).wrapping_add(c as u64),
-                    )) as Box<dyn TrafficSource>)
-                })
-                .collect::<Result<_, String>>()?;
-            drive(&server, sources, requests.div_ceil(clients)).map_err(|e| e.to_string())?;
-            let report = server.shutdown();
-            table.push_row([
-                resolved.clone(),
-                format!("{ratio:.2}"),
-                format!("{:.1}", report.latency.p50() as f64 / 1_000.0),
-                format!("{:.1}", report.latency.p90() as f64 / 1_000.0),
-                format!("{:.1}", report.latency.p99() as f64 / 1_000.0),
-                format!("{:.1}", report.latency.max() as f64 / 1_000.0),
-                format!("{:.1}", report.throughput() / 1_000.0),
-                format!("{:.3}", report.mlookups_per_s()),
-                format!("{:.1}", report.mean_batch()),
-                format!("{:.2}", report.mean_cost()),
-            ]);
-        }
-    }
-    table.print();
     Ok(())
 }
 
@@ -671,7 +400,12 @@ fn cmd_figures(flags: &Flags) -> Result<(), String> {
     }
 }
 
-fn cmd_list_indexes() -> Result<(), String> {
+fn cmd_help(_: &Flags) -> Result<(), String> {
+    println!("{USAGE}");
+    Ok(())
+}
+
+fn cmd_list_indexes(_: &Flags) -> Result<(), String> {
     let registry = IndexRegistry::with_defaults();
     for name in registry.names() {
         println!(
@@ -764,22 +498,25 @@ fn cmd_pipeline(flags: &Flags) -> Result<(), String> {
         pipeline = pipeline.index(&resolved);
     }
 
-    // Mount a cache so its effectiveness is visible in the output even on
-    // a single run (repeated names hit; sweeps wrapping this command see
-    // the same counters programmatically via `Pipeline::cache`).
-    let cache = BuildCache::new();
-    let report = pipeline
-        .cache(cache.clone())
-        .run()
-        .map_err(|e| e.to_string())?;
+    let report = pipeline.run().map_err(|e| e.to_string())?;
     print!("{}", report.render());
-    println!(
-        "\nbuild cache: {} clean builds retained — {} hits, {} misses",
-        cache.len(),
-        cache.hits(),
-        cache.misses()
-    );
-    Ok(())
+    members_gate(&report)
+}
+
+/// Fails the run when any victim lost a member key: a poisoned or
+/// defended index must still answer every legitimate key it holds.
+fn members_gate(report: &PipelineReport) -> Result<(), String> {
+    let lost: Vec<&str> = report
+        .indexes
+        .iter()
+        .filter(|r| !r.all_members_found)
+        .map(|r| r.name.as_str())
+        .collect();
+    if lost.is_empty() {
+        Ok(())
+    } else {
+        Err(format!("{} lost a member key", lost.join(", ")))
+    }
 }
 
 #[cfg(test)]
@@ -794,25 +531,50 @@ mod tests {
     #[test]
     fn parse_valid_args() {
         let (cmd, flags) = parse_args(&s(&["generate", "--keys", "10", "--dist", "osm"])).unwrap();
-        assert_eq!(cmd, "generate");
+        assert_eq!(cmd.name, "generate");
         assert_eq!(flags.get("keys").unwrap(), "10");
         assert_eq!(flags.get("dist").unwrap(), "osm");
+        assert_eq!(parse_args(&s(&["-h"])).unwrap().0.name, "help");
     }
 
     #[test]
     fn parse_rejects_malformed() {
-        assert!(parse_args(&s(&[])).is_none());
-        assert!(parse_args(&s(&["generate", "keys", "10"])).is_none());
-        assert!(parse_args(&s(&["generate", "--keys"])).is_none());
+        assert!(parse_args(&s(&[])).is_err());
+        assert!(parse_args(&s(&["generate", "keys", "10"])).is_err());
+        assert!(parse_args(&s(&["generate", "--keys"])).is_err());
+        assert!(parse_args(&s(&["attack-rmi"])).is_err());
+        assert_eq!(run(&s(&["generate", "--keys"])), 2);
+        assert_eq!(run(&s(&["inspect"])), 2);
+    }
+
+    #[test]
+    fn unknown_flag_is_a_usage_error_naming_flag_and_command() {
+        let err = parse_args(&s(&["pipeline", "--atack", "rmi"])).unwrap_err();
+        assert!(err.contains("pipeline") && err.contains("--atack"), "{err}");
+        // A flag another command reads is still unknown here.
+        let err = parse_args(&s(&["figures", "--keys", "10"])).unwrap_err();
+        assert!(err.contains("figures") && err.contains("--keys"), "{err}");
+        assert_eq!(run(&s(&["pipeline", "--atack", "rmi"])), 2);
+    }
+
+    #[test]
+    fn repeated_flag_is_a_usage_error_naming_flag_and_command() {
+        let args = s(&["pipeline", "--attack", "rmi", "--attack", "greedy"]);
+        let err = parse_args(&args).unwrap_err();
+        assert!(
+            err.contains("pipeline") && err.contains("--attack"),
+            "{err}"
+        );
+        assert_eq!(run(&args), 2);
     }
 
     #[test]
     fn flag_defaults_and_parsing() {
-        let (_, flags) = parse_args(&s(&["x", "--keys", "7"])).unwrap();
+        let (_, flags) = parse_args(&s(&["generate", "--keys", "7"])).unwrap();
         assert_eq!(flag(&flags, "keys", 1usize).unwrap(), 7);
         assert_eq!(flag(&flags, "density", 0.5f64).unwrap(), 0.5);
         assert!(flag::<usize>(&flags, "keys", 1).is_ok());
-        let (_, bad) = parse_args(&s(&["x", "--keys", "abc"])).unwrap();
+        let (_, bad) = parse_args(&s(&["generate", "--keys", "abc"])).unwrap();
         assert!(flag::<usize>(&bad, "keys", 1).is_err());
     }
 
@@ -846,29 +608,24 @@ mod tests {
         flags.insert("shards".into(), "4".into());
         flags.insert("queries".into(), "200".into());
         cmd_pipeline(&flags).unwrap();
-        cmd_list_indexes().unwrap();
+        cmd_list_indexes(&flags).unwrap();
     }
 
     #[test]
-    fn serve_bench_command_runs_two_indexes_two_ratios() {
-        let mut flags = Flags::new();
-        flags.insert("keys".into(), "600".into());
-        flags.insert("index".into(), "rmi,btree".into());
-        flags.insert("attack-ratio".into(), "0,0.5".into());
-        flags.insert("requests".into(), "400".into());
-        flags.insert("workers".into(), "2".into());
-        flags.insert("batch".into(), "16".into());
-        cmd_serve_bench(&flags).unwrap();
-    }
-
-    #[test]
-    fn serve_bench_rejects_bad_ratio() {
-        let mut flags = Flags::new();
-        flags.insert("keys".into(), "200".into());
-        flags.insert("attack-ratio".into(), "1.5".into());
-        assert!(cmd_serve_bench(&flags).is_err());
-        flags.insert("attack-ratio".into(), "abc".into());
-        assert!(cmd_serve_bench(&flags).is_err());
+    fn pipeline_fails_when_a_victim_loses_a_member_key() {
+        let mut report = Pipeline::new(WorkloadSpec::Uniform {
+            n: 200,
+            density: 0.2,
+        })
+        .index("rmi")
+        .index("btree")
+        .queries(50)
+        .run()
+        .unwrap();
+        members_gate(&report).unwrap();
+        report.indexes[1].all_members_found = false;
+        let err = members_gate(&report).unwrap_err();
+        assert!(err.contains("btree") && !err.contains("rmi"), "{err}");
     }
 
     #[test]
@@ -930,16 +687,34 @@ mod tests {
         assert!(cmd_figures(&flags).is_err());
     }
 
+    /// Every `--attack` and `--defense` arm of `pipeline`, and `--in FILE`
+    /// after `generate --out`, run end to end through the command line.
     #[test]
     fn attack_commands_run() {
-        let mut flags = Flags::new();
-        flags.insert("keys".into(), "300".into());
-        cmd_attack_regression(&flags).unwrap();
-        flags.insert("model-size".into(), "50".into());
-        cmd_attack_rmi(&flags).unwrap();
-        cmd_attack_rmi_dp(&flags).unwrap();
-        cmd_inspect(&flags).unwrap();
-        flags.insert("remove".into(), "20".into());
-        cmd_attack_removal(&flags).unwrap();
+        let pipeline = |extra: &[&str]| {
+            let base = ["pipeline", "--keys", "300", "--model-size", "50"];
+            run(&s(&[&base[..], &["--queries", "100"], extra].concat()))
+        };
+        for attack in ["none", "greedy", "rmi", "rmi-dp", "removal", "mixed"] {
+            assert_eq!(pipeline(&["--attack", attack]), 0, "--attack {attack}");
+        }
+        for defense in ["none", "trim", "iqr", "density"] {
+            assert_eq!(pipeline(&["--defense", defense]), 0, "--defense {defense}");
+        }
+        assert_eq!(pipeline(&["--attack", "nope"]), 1);
+        assert_eq!(pipeline(&["--defense", "nope"]), 1);
+
+        let dir = ScratchDir::new("cli-pipeline-in").unwrap();
+        let path = dir.path().join("keys.txt").to_string_lossy().to_string();
+        assert_eq!(run(&s(&["generate", "--keys", "300", "--out", &path])), 0);
+        let from_file = [
+            "--attack",
+            "none",
+            "--in",
+            &path,
+            "--index",
+            "rmi,btree,pla",
+        ];
+        assert_eq!(pipeline(&from_file), 0);
     }
 }

@@ -17,9 +17,8 @@
 //!   [`Defense`](lis_defense::Defense) trait;
 //! * [`workloads`] — synthetic and simulated-real keysets;
 //! * [`server`] — the concurrent serving front end (bounded request
-//!   queue, adaptive micro-batcher, worker pool, latency histogram, live
-//!   benign/adversarial traffic sources, and the epoch-swapped write
-//!   plane with pluggable admission control);
+//!   queue, adaptive micro-batcher, worker pool, latency histogram, and
+//!   the epoch-swapped write plane with pluggable admission control);
 //! * [`online`] — the online attack plane: live Algorithm-2 poisoning
 //!   campaigns through the serve path, plus the benign / undefended /
 //!   defended harness behind `BENCH_online.json`;
@@ -76,7 +75,7 @@ pub mod prelude {
     pub use crate::chaos::{
         run_chaos, run_chaos_scenario, ChaosConfig, ChaosReport, ChaosScenarioReport,
     };
-    pub use crate::pipeline::{BuildCache, Pipeline, PipelineReport, WorkloadSpec};
+    pub use crate::pipeline::{Pipeline, PipelineReport, WorkloadSpec};
     pub use lis_core::btree::BPlusTree;
     pub use lis_core::index::{DynIndex, IndexRegistry, LearnedIndex, Lookup};
     pub use lis_core::keys::{Key, KeyDomain, KeySet};
@@ -93,7 +92,7 @@ pub mod prelude {
         GreedyPlan, IncrementalOracle, PoisonBudget, RmiAttackConfig, RmiAttackResult,
     };
     pub use lis_server::{
-        AdmissionChain, AdmissionPolicy, AdmitAll, BenignSource, LatencyHistogram, MixedSource,
-        ReplaySource, ServeConfig, ServeReport, Server, TrafficSource, WriteOp, WriteStatus,
+        AdmissionChain, AdmissionPolicy, AdmitAll, LatencyHistogram, ServeConfig, ServeReport,
+        Server, WriteOp, WriteStatus,
     };
 }

@@ -14,8 +14,8 @@
 //! ([`lis_server::Server`]): probes flow through the same bounded queue,
 //! micro-batcher, and worker pool that serve live traffic, draining into
 //! [`DynIndex::lookup_batch`] — one serve code path for offline
-//! experiments and the live harness, with the virtual dispatch amortized
-//! over whole batches.
+//! experiments and live serving, with the virtual dispatch amortized over
+//! whole batches.
 //!
 //! ## Example
 //!
@@ -53,10 +53,8 @@ use lis_workloads::{
 };
 use rand::Rng;
 use std::collections::HashMap;
-use std::hash::{Hash, Hasher};
 use std::panic::AssertUnwindSafe;
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 
 /// Which keyset the pipeline starts from.
 #[derive(Debug, Clone)]
@@ -129,142 +127,6 @@ impl WorkloadSpec {
             Self::Fixed(_) => "fixed",
         }
     }
-
-    /// A string identifying this workload's *sampled keyset* for a given
-    /// parameterization — the workload component of a [`BuildCache`] key.
-    /// Two specs with equal cache keys sample identical keysets under the
-    /// same `(seed, trial)`. Fixed keysets are fingerprinted by content.
-    pub fn cache_key(&self) -> String {
-        match self {
-            Self::Uniform { n, density } => format!("uniform:{n}:{density}"),
-            Self::Normal { n, density } => format!("normal:{n}:{density}"),
-            Self::LogNormal { n, density } => format!("lognormal:{n}:{density}"),
-            Self::MiamiSalaries { n } => format!("miami-salaries:{n}"),
-            Self::OsmLatitudes { n } => format!("osm-latitudes:{n}"),
-            Self::Fixed(ks) => {
-                let mut h = std::collections::hash_map::DefaultHasher::new();
-                ks.keys().hash(&mut h);
-                ks.domain().min.hash(&mut h);
-                ks.domain().max.hash(&mut h);
-                format!("fixed:{:016x}", h.finish())
-            }
-        }
-    }
-}
-
-/// Key of one cached clean build: `(workload, seed, trial, index)`.
-type BuildKey = (String, u64, u64, String);
-
-/// A cross-run cache of *clean* index builds, keyed by
-/// `(workload, seed, trial, index)`.
-///
-/// [`Pipeline::run`] builds every victim twice — once on the clean keyset
-/// (the baseline) and once on the final keyset. The clean build depends
-/// only on the workload sample, never on the attack or defense, so sweeps
-/// that vary the adversary, the defense, or repeat trials keep paying for
-/// identical clean rebuilds. Clone one `BuildCache` into each pipeline of a
-/// sweep (clones share storage) and those rebuilds become lookups.
-///
-/// Entries are keyed by the index's registry *name*, not by the registry
-/// that resolved it: every pipeline sharing a cache must resolve each name
-/// to the same structure. When sweeping over different
-/// [`Pipeline::registry`] configurations that reuse a name, give each
-/// registry its own cache (or [`BuildCache::clear`] between sweeps) —
-/// otherwise a stale clean baseline is served silently:
-///
-/// ```
-/// use lis::pipeline::{BuildCache, Pipeline, WorkloadSpec};
-/// use lis::poison::{GreedyCdfAttack, PoisonBudget, RemovalAttack};
-///
-/// let cache = BuildCache::new();
-/// let spec = WorkloadSpec::Uniform { n: 500, density: 0.2 };
-/// for budget in [25, 50] {
-///     Pipeline::new(spec.clone())
-///         .attack(GreedyCdfAttack { budget: PoisonBudget::keys(budget) })
-///         .index("rmi")
-///         .queries(100)
-///         .cache(cache.clone())
-///         .run()
-///         .unwrap();
-/// }
-/// assert_eq!(cache.len(), 1); // one clean rmi build served both runs
-/// assert_eq!(cache.hits(), 1);
-/// ```
-#[derive(Clone, Default)]
-pub struct BuildCache {
-    entries: Arc<Mutex<HashMap<BuildKey, Arc<DynIndex>>>>,
-    hits: Arc<AtomicUsize>,
-    misses: Arc<AtomicUsize>,
-}
-
-impl BuildCache {
-    /// An empty cache.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Number of cached builds.
-    pub fn len(&self) -> usize {
-        self.entries.lock().expect("build cache poisoned").len()
-    }
-
-    /// `true` iff nothing is cached.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// Number of lookups served from the cache.
-    pub fn hits(&self) -> usize {
-        self.hits.load(Ordering::Relaxed)
-    }
-
-    /// Number of lookups that had to build.
-    pub fn misses(&self) -> usize {
-        self.misses.load(Ordering::Relaxed)
-    }
-
-    /// Drops every cached build (e.g. between sweeps over different
-    /// registries).
-    pub fn clear(&self) {
-        self.entries.lock().expect("build cache poisoned").clear();
-    }
-
-    /// Returns the cached build for `key` (and whether it was a hit),
-    /// constructing and inserting it with `build` on a miss. The build
-    /// runs outside the lock, so concurrent victims never serialize on
-    /// each other's construction.
-    fn get_or_build(
-        &self,
-        key: BuildKey,
-        build: impl FnOnce() -> Result<DynIndex>,
-    ) -> Result<(Arc<DynIndex>, bool)> {
-        if let Some(hit) = self.entries.lock().expect("build cache poisoned").get(&key) {
-            self.hits.fetch_add(1, Ordering::Relaxed);
-            return Ok((Arc::clone(hit), true));
-        }
-        let built = Arc::new(build()?);
-        self.misses.fetch_add(1, Ordering::Relaxed);
-        Ok((
-            Arc::clone(
-                self.entries
-                    .lock()
-                    .expect("build cache poisoned")
-                    .entry(key)
-                    .or_insert(built),
-            ),
-            false,
-        ))
-    }
-}
-
-impl std::fmt::Debug for BuildCache {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("BuildCache")
-            .field("len", &self.len())
-            .field("hits", &self.hits())
-            .field("misses", &self.misses())
-            .finish()
-    }
 }
 
 /// Per-victim measurements of one pipeline run.
@@ -287,16 +149,6 @@ pub struct IndexReport {
     pub clean_memory_bytes: usize,
     /// Whether every probed member key was found in both builds.
     pub all_members_found: bool,
-    /// Wall-clock nanoseconds spent building the final (attacked/defended)
-    /// index — the build-plane cost this victim paid in this run.
-    pub final_build_ns: u64,
-    /// Wall-clock nanoseconds spent obtaining the clean baseline build: a
-    /// cold build's full training time, or the (near-zero) cache lookup
-    /// when [`BuildCache`] served it.
-    pub clean_build_ns: u64,
-    /// Whether the clean baseline came out of the shared [`BuildCache`]
-    /// (so `clean_build_ns` measured a lookup, not a build).
-    pub clean_build_cached: bool,
 }
 
 impl IndexReport {
@@ -366,9 +218,8 @@ impl PipelineReport {
                 "clean_cost",
                 "final_cost",
                 "cost_ratio",
+                "mem_bytes",
                 "mem_ratio",
-                "build_ms",
-                "clean_build",
                 "members_ok",
             ],
         );
@@ -381,13 +232,8 @@ impl PipelineReport {
                 format!("{:.2}", r.clean_cost.mean),
                 format!("{:.2}", r.final_cost.mean),
                 format!("{:.2}", r.cost_ratio()),
+                r.memory_bytes.to_string(),
                 format!("{:.2}", r.memory_ratio()),
-                format!("{:.2}", r.final_build_ns as f64 / 1e6),
-                if r.clean_build_cached {
-                    "cached".to_string()
-                } else {
-                    format!("{:.2}ms", r.clean_build_ns as f64 / 1e6)
-                },
                 r.all_members_found.to_string(),
             ]);
         }
@@ -443,7 +289,6 @@ pub struct Pipeline {
     index_names: Vec<String>,
     registry: IndexRegistry,
     queries: usize,
-    cache: Option<BuildCache>,
 }
 
 impl Pipeline {
@@ -461,7 +306,6 @@ impl Pipeline {
             index_names: Vec::new(),
             registry: IndexRegistry::with_defaults(),
             queries: 2_000,
-            cache: None,
         }
     }
 
@@ -502,10 +346,6 @@ impl Pipeline {
     }
 
     /// Replaces the index registry (to supply custom configurations).
-    ///
-    /// [`BuildCache`] entries are keyed by index *name*: if a custom
-    /// registry redefines a name, do not share a cache with pipelines using
-    /// a different registry (see the [`BuildCache`] docs).
     pub fn registry(mut self, registry: IndexRegistry) -> Self {
         self.registry = registry;
         self
@@ -519,27 +359,16 @@ impl Pipeline {
         self
     }
 
-    /// Shares a [`BuildCache`] with this run: clean builds are looked up by
-    /// `(workload, seed, trial, index)` and only constructed on a miss.
-    /// Clone the same cache into every pipeline of a sweep — provided they
-    /// all resolve index names through equivalent registries (see the
-    /// [`BuildCache`] docs).
-    pub fn cache(mut self, cache: BuildCache) -> Self {
-        self.cache = Some(cache);
-        self
-    }
-
     /// Runs the composition: sample → attack → defend → build → measure.
     ///
     /// Per-victim builds and measurements run concurrently on scoped
     /// threads (every structure in the workspace is `Send + Sync`), and
     /// *within* each victim the model-based builds fan their own training
     /// out too (RMI leaf fits, deep-RMI stage fits — see
-    /// [`lis_core::par`]); clean builds are served from the shared
-    /// [`BuildCache`] when one is mounted, and per-victim build times and
-    /// cache hits are reported in each [`IndexReport`]. Probe measurements flow through the concurrent serving
-    /// front end ([`lis_server::Server`]), and a panicking victim build
-    /// surfaces as [`LisError::Invariant`] instead of crashing the run.
+    /// [`lis_core::par`]). Probe measurements flow through the concurrent
+    /// serving front end ([`lis_server::Server`]), and a panicking victim
+    /// build surfaces as [`LisError::Invariant`] instead of crashing the
+    /// run.
     pub fn run(self) -> Result<PipelineReport> {
         if self.index_names.is_empty() {
             return Err(LisError::Invariant(
@@ -608,8 +437,6 @@ impl Pipeline {
         // deterministic, so their rows are identical), and at most
         // available-parallelism workers run — a sharded victim's own
         // fan-out multiplies per *running* worker, not per requested name.
-        let cache = self.cache.clone().unwrap_or_default();
-        let workload_key = self.workload.cache_key();
         let mut unique: Vec<&String> = Vec::new();
         for name in &self.index_names {
             if !unique.contains(&name) {
@@ -617,15 +444,8 @@ impl Pipeline {
             }
         }
         let measure = |name: &String| -> Result<IndexReport> {
-            let clean_started = std::time::Instant::now();
-            let (clean_idx, clean_cached) = cache.get_or_build(
-                (workload_key.clone(), self.seed, self.trial, name.clone()),
-                || self.registry.build(name, &clean),
-            )?;
-            let clean_build_ns = clean_started.elapsed().as_nanos() as u64;
-            let final_started = std::time::Instant::now();
+            let clean_idx = Arc::new(self.registry.build(name, &clean)?);
             let final_idx = Arc::new(self.registry.build(name, &final_keyset)?);
-            let final_build_ns = final_started.elapsed().as_nanos() as u64;
             let clean_costs = served_costs(&clean_idx, &probes)?;
             let final_costs = served_costs(&final_idx, &probes)?;
             Ok(IndexReport {
@@ -637,9 +457,6 @@ impl Pipeline {
                 final_cost: final_costs.0,
                 memory_bytes: final_idx.memory_bytes(),
                 clean_memory_bytes: clean_idx.memory_bytes(),
-                final_build_ns,
-                clean_build_ns,
-                clean_build_cached: clean_cached,
             })
         };
         // A panicking victim build (a buggy custom registry entry, a bug in
@@ -937,7 +754,6 @@ mod tests {
 
     #[test]
     fn repeated_index_names_measure_once_but_report_per_request() {
-        let cache = BuildCache::new();
         let report = Pipeline::new(WorkloadSpec::Uniform {
             n: 300,
             density: 0.2,
@@ -945,89 +761,11 @@ mod tests {
         .index("btree")
         .index("btree")
         .queries(100)
-        .cache(cache.clone())
         .run()
         .unwrap();
         assert_eq!(report.indexes.len(), 2);
-        assert_eq!(cache.misses(), 1);
         assert_eq!(report.indexes[0].clean_cost, report.indexes[1].clean_cost);
-    }
-
-    #[test]
-    fn build_times_and_cache_hits_are_reported_per_victim() {
-        let spec = WorkloadSpec::Uniform {
-            n: 400,
-            density: 0.2,
-        };
-        let cache = BuildCache::new();
-        let run = || {
-            Pipeline::new(spec.clone())
-                .seed(17)
-                .index("rmi")
-                .queries(100)
-                .cache(cache.clone())
-                .run()
-                .unwrap()
-        };
-        let cold = run();
-        let rmi = cold.index("rmi").unwrap();
-        assert!(rmi.final_build_ns > 0);
-        assert!(rmi.clean_build_ns > 0);
-        assert!(!rmi.clean_build_cached, "first run must build cold");
-        let warm = run();
-        let rmi = warm.index("rmi").unwrap();
-        assert!(
-            rmi.clean_build_cached,
-            "second run must serve the clean baseline from the cache"
-        );
-        let rendered = warm.table().render();
-        assert!(rendered.contains("build_ms"), "{rendered}");
-        assert!(rendered.contains("cached"), "{rendered}");
-    }
-
-    #[test]
-    fn build_cache_yields_identical_reports_across_trials() {
-        let spec = WorkloadSpec::Uniform {
-            n: 600,
-            density: 0.2,
-        };
-        let cache = BuildCache::new();
-        let run = |trial: u64, cache: Option<BuildCache>| {
-            let mut p = Pipeline::new(spec.clone())
-                .seed(21)
-                .trial(trial)
-                .attack(GreedyCdfAttack {
-                    budget: PoisonBudget::keys(60),
-                })
-                .index("rmi")
-                .index("btree")
-                .queries(300);
-            if let Some(c) = cache {
-                p = p.cache(c);
-            }
-            p.run().unwrap()
-        };
-        for trial in 0..3 {
-            let cached = run(trial, Some(cache.clone()));
-            let uncached = run(trial, None);
-            for (a, b) in cached.indexes.iter().zip(&uncached.indexes) {
-                assert_eq!(a.name, b.name);
-                assert_eq!(a.clean_loss, b.clean_loss, "trial {trial} {}", a.name);
-                assert_eq!(a.final_loss, b.final_loss, "trial {trial} {}", a.name);
-                assert_eq!(a.clean_cost, b.clean_cost, "trial {trial} {}", a.name);
-                assert_eq!(a.final_cost, b.final_cost, "trial {trial} {}", a.name);
-                assert_eq!(a.memory_bytes, b.memory_bytes);
-                assert_eq!(a.clean_memory_bytes, b.clean_memory_bytes);
-            }
-        }
-        // 3 trials x 2 indexes, each built exactly once...
-        assert_eq!(cache.len(), 6);
-        assert_eq!(cache.misses(), 6);
-        // ...and a repeated trial is served entirely from the cache.
-        let before = cache.hits();
-        run(0, Some(cache.clone()));
-        assert_eq!(cache.hits(), before + 2);
-        assert_eq!(cache.len(), 6);
+        assert_eq!(report.indexes[0].final_cost, report.indexes[1].final_cost);
     }
 
     #[test]

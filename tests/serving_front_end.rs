@@ -2,11 +2,10 @@
 //! through the queue → micro-batcher → worker pool must be *identical* to
 //! direct `DynIndex::lookup_batch` calls on the same index, under real
 //! concurrency — multiple client threads, interleaved submissions, sharded
-//! and unsharded victims, benign and adversarial traffic.
+//! and unsharded victims, member keys and replayed campaign keys.
 
 use lis::poison::{GreedyCdfAttack, PoisonBudget};
 use lis::prelude::*;
-use lis::server::drive;
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -76,6 +75,10 @@ fn served_answers_equal_direct_lookup_batch_under_concurrency() {
         );
         assert_eq!(report.index, name);
         assert!(report.latency.count() == report.served);
+        assert!(report.latency.p50() <= report.latency.p99());
+        assert!(report.latency.p99() <= report.latency.max());
+        assert!(report.mean_cost() > 0.0);
+        assert!(report.throughput() > 0.0);
     }
 }
 
@@ -107,45 +110,11 @@ fn trickle_traffic_flushes_on_deadline() {
     assert_eq!(report.served, report.batches);
 }
 
-/// Mixed benign + adversarial traffic is served losslessly and the
-/// latency histogram accounts for every request.
-#[test]
-fn adversarial_mix_is_served_losslessly() {
-    let ks = keyset(2_000);
-    let attack = GreedyCdfAttack {
-        budget: PoisonBudget::keys(200),
-    };
-    let outcome = attack.run(&ks).unwrap();
-    let index = Arc::new(
-        IndexRegistry::with_defaults()
-            .build("rmi", &outcome.poisoned)
-            .unwrap(),
-    );
-    let server = Server::start(Arc::clone(&index), ServeConfig::new().workers(2));
-    let sources: Vec<Box<dyn TrafficSource>> = (0..3)
-        .map(|c| {
-            Box::new(MixedSource::new(
-                BenignSource::new(ks.keys().to_vec(), c).unwrap(),
-                ReplaySource::new(outcome.inserted.clone()).unwrap(),
-                0.25,
-                c + 77,
-            )) as Box<dyn TrafficSource>
-        })
-        .collect();
-    let total = drive(&server, sources, 1_500).unwrap();
-    let report = server.shutdown();
-    assert_eq!(total, 4_500);
-    assert_eq!(report.served, 4_500);
-    assert_eq!(report.latency.count(), 4_500);
-    assert!(report.latency.p50() <= report.latency.p99());
-    assert!(report.latency.p99() <= report.latency.max());
-    assert!(report.mean_cost() > 0.0);
-    assert!(report.throughput() > 0.0);
-}
-
 /// The structural baseline shrugs off live attack traffic: a B+-tree's
 /// served mean cost with half the stream replaying campaign keys stays
-/// within 10% of its cost under benign traffic alone.
+/// within 10% of its cost under member keys alone. Cost is deterministic
+/// per key, so a fixed interleave measures the same thing a random mix
+/// would, without the noise.
 #[test]
 fn btree_served_cost_is_flat_under_adversarial_replay() {
     let ks = keyset(2_000);
@@ -159,22 +128,26 @@ fn btree_served_cost_is_flat_under_adversarial_replay() {
             .build("btree", &outcome.poisoned)
             .unwrap(),
     );
-    let served_cost = |ratio: f64| {
+    let served_cost = |probes: &[Key]| {
         let server = Server::start(Arc::clone(&index), ServeConfig::new().workers(2));
-        let sources: Vec<Box<dyn TrafficSource>> = (0..2)
-            .map(|c| {
-                Box::new(MixedSource::new(
-                    BenignSource::new(ks.keys().to_vec(), c).unwrap(),
-                    ReplaySource::new(outcome.inserted.clone()).unwrap(),
-                    ratio,
-                    c + 77,
-                )) as Box<dyn TrafficSource>
-            })
-            .collect();
-        drive(&server, sources, 1_000).unwrap();
+        let served = server.serve_all(probes).unwrap();
+        assert!(served.iter().all(|r| r.found), "a served key went missing");
         server.shutdown().mean_cost()
     };
-    let drift = served_cost(0.5) / served_cost(0.0);
+    let benign: Vec<Key> = ks.keys().to_vec();
+    // Every other request replays a campaign key, cycling through them.
+    let mixed: Vec<Key> = benign
+        .iter()
+        .enumerate()
+        .map(|(i, &k)| {
+            if i % 2 == 0 {
+                k
+            } else {
+                outcome.inserted[(i / 2) % outcome.inserted.len()]
+            }
+        })
+        .collect();
+    let drift = served_cost(&mixed) / served_cost(&benign);
     assert!(
         (drift - 1.0).abs() < 0.1,
         "btree served cost moved {drift:.3}x under 50% attack traffic"
