@@ -167,16 +167,17 @@ impl LinearModel {
 
 /// Whether every key of the sorted slice `keys` fits in an `i64`, so that
 /// `key_to_f64::<true>` equals `k as f64` on all of them.
-fn signed_conversion_is_exact(keys: &[Key]) -> bool {
+pub fn signed_conversion_is_exact(keys: &[Key]) -> bool {
     keys.last().is_none_or(|&k| k <= i64::MAX as Key)
 }
 
 /// `k as f64`, through the signed conversion when `SIGNED`. Both round
 /// the same integer to the nearest `f64`, so they agree on every key up
 /// to `i64::MAX`; the signed one is a single instruction on baseline
-/// x86-64, the unsigned one a multi-instruction sequence.
+/// x86-64, the unsigned one a multi-instruction sequence. Callers pick
+/// `SIGNED` once per sorted slice with [`signed_conversion_is_exact`].
 #[inline(always)]
-fn key_to_f64<const SIGNED: bool>(k: Key) -> f64 {
+pub fn key_to_f64<const SIGNED: bool>(k: Key) -> f64 {
     if SIGNED {
         k as i64 as f64
     } else {

@@ -11,16 +11,17 @@
 //!
 //! ## Engines
 //!
-//! Two engines share the same gap/candidate machinery, both running on an
-//! [`IncrementalOracle`] (moments maintained under insertion, no per-step
-//! rebuild):
+//! Both engines run on an [`IncrementalOracle`] (moments maintained under
+//! insertion, no per-step rebuild) and start from the same gap table:
 //!
-//! * [`greedy_poison`] — **exact** Algorithm 1: every step scans all gap
-//!   endpoints with `O(1)` evaluations against per-gap cached insertion
-//!   ranks and suffix sums (updated in one sweep per accepted point).
-//!   `O(n + p·g)` where `g` is the gap count — the `O(n)` oracle rebuild,
-//!   the per-step gap re-enumeration, and the `O(n)` keyset insert of the
-//!   old loop are all gone;
+//! * [`greedy_poison`] — **exact** Algorithm 1. Each step is one fused
+//!   scan of the gap table: it folds the previous step's accepted key into
+//!   every gap's cached rank or suffix sum, then scores the gap's two
+//!   endpoints as one two-lane call of the oracle's insertion scorer, and
+//!   keeps the first maximum in ascending key order. A candidate costs
+//!   four divides, the floor for losses bit-identical to
+//!   `lis_core::linreg::optimal_mse`; the campaign is `O(n + p·g)` for
+//!   `g` gaps;
 //! * [`greedy_poison_lazy`] — the CELF-style lazy variant: candidates live
 //!   in a max-heap keyed by their most recent evaluation and are
 //!   re-evaluated only when they surface, taking the campaign toward
@@ -31,13 +32,28 @@
 //!   engine — and exists for build-plane sweeps where campaign generation
 //!   dominates wall-clock.
 //!
-//! The unit tests keep the pre-optimization loop (oracle rebuilt per step,
-//! gaps re-enumerated, keyset re-inserted) as the reference the exact
-//! engine is compared against.
+//! ## The gap table
+//!
+//! One 32-byte entry per interior gap (the paper restricts candidates to
+//! the keyset's open span): the endpoints `lo` and `hi`, the 1-based rank
+//! a key inserted in the gap takes, kept as an `f64` (exact below 2⁵³),
+//! and the shifted-key sum of every current key above the gap. One
+//! reverse pass over the keys builds it and accumulates the suffix sums
+//! on the way, so the table holds the gaps in descending key order and
+//! the exact scan walks it back to front. A gap whose last free key is
+//! taken stays in place as a tombstone (`lo > hi`) that scans skip:
+//! entries never move, so an accepted key's entry splits the table into
+//! the gaps above it and the gaps below it.
+//!
+//! The unit tests keep two references: the loop that rebuilds the oracle
+//! and re-enumerates the gaps every step, and the unfused exact loop (a
+//! rank/suffix update sweep after every step, exhausted gaps removed),
+//! which the exact engine must match bit for bit.
 
-use crate::oracle::IncrementalOracle;
+use crate::oracle::{IncrementalOracle, InsertScorer};
 use lis_core::error::{LisError, Result};
 use lis_core::keys::{Key, KeySet};
+use lis_core::linreg::{key_to_f64, signed_conversion_is_exact};
 use std::collections::BinaryHeap;
 
 /// Poisoning budget expressed the way the paper parameterizes experiments.
@@ -101,52 +117,57 @@ impl GreedyPlan {
 }
 
 /// One maximal run of unoccupied keys in the *current* (poisoned-so-far)
-/// keyset, with the cached per-gap attack state: any key inserted in the
-/// gap takes insertion index `idx` (number of current keys strictly
-/// below), and `suffix` is the shifted-key sum of every current key
-/// strictly above the gap (the interior is empty, so both are shared by
-/// the gap's two candidate endpoints).
+/// keyset, with the cached per-gap attack state: a key inserted in the
+/// gap takes the 1-based rank `rank`, and `suffix` is the shifted-key sum
+/// of every current key strictly above the gap (the interior is empty,
+/// so both are shared by the gap's two candidate endpoints). `lo > hi`
+/// marks an exhausted gap.
 #[derive(Debug, Clone, Copy)]
-struct GapState {
+struct Gap {
     lo: Key,
     hi: Key,
-    idx: usize,
+    rank: f64,
     suffix: f64,
 }
 
-/// Builds the initial gap table (interior gaps only, as the paper
-/// restricts candidates) with cached ranks and suffix sums, in `O(n)`.
-fn initial_gaps(keys: &[Key], shift: f64) -> Vec<GapState> {
-    // suffix_from[i] = Σ_{j ≥ i} (keys[j] − shift).
-    let n = keys.len();
-    let mut suffix_from = vec![0.0; n + 1];
-    for i in (0..n).rev() {
-        suffix_from[i] = suffix_from[i + 1] + (keys[i] as f64 - shift);
+impl Gap {
+    fn is_live(&self) -> bool {
+        self.lo <= self.hi
     }
-    let mut gaps = Vec::new();
-    for (i, w) in keys.windows(2).enumerate() {
-        if w[1] - w[0] > 1 {
-            gaps.push(GapState {
-                lo: w[0] + 1,
-                hi: w[1] - 1,
-                idx: i + 1,
-                suffix: suffix_from[i + 1],
+
+    /// Takes `kp` (one of the endpoints) out of the gap; returns `false`
+    /// when that exhausts it.
+    fn consume(&mut self, kp: Key) -> bool {
+        if kp == self.lo {
+            self.lo += 1;
+        } else {
+            debug_assert_eq!(kp, self.hi);
+            self.hi -= 1;
+        }
+        self.is_live()
+    }
+}
+
+/// Builds the gap table (interior gaps only, as the paper restricts
+/// candidates) in one reverse pass over `keys`, which accumulates the
+/// suffix sums as it goes: the table comes out in descending key order.
+fn gap_table<const SIGNED: bool>(keys: &[Key], shift: f64) -> Vec<Gap> {
+    let mut gaps = Vec::with_capacity(keys.len() - 1);
+    let mut suffix = 0.0;
+    for i in (1..keys.len()).rev() {
+        // suffix = Σ_{j ≥ i} (keys[j] − shift): every key above the gap
+        // between keys[i − 1] and keys[i], which i keys lie below.
+        suffix += key_to_f64::<SIGNED>(keys[i]) - shift;
+        if keys[i] - keys[i - 1] > 1 {
+            gaps.push(Gap {
+                lo: keys[i - 1] + 1,
+                hi: keys[i] - 1,
+                rank: (i + 1) as f64,
+                suffix,
             });
         }
     }
     gaps
-}
-
-/// Shrinks `gap` after `kp` (one of its endpoints) was consumed; returns
-/// `false` when the gap is exhausted.
-fn shrink_gap(gap: &mut GapState, kp: Key) -> bool {
-    if kp == gap.lo {
-        gap.lo += 1;
-    } else {
-        debug_assert_eq!(kp, gap.hi);
-        gap.hi -= 1;
-    }
-    gap.lo <= gap.hi
 }
 
 /// Runs Algorithm 1: greedily inserts `budget.count` poisoning keys, each
@@ -169,55 +190,142 @@ pub fn greedy_poison_sorted(keys: &[Key], budget: PoisonBudget) -> Result<Greedy
     if keys.len() < 2 {
         return Err(LisError::DegenerateRegression { n: keys.len() });
     }
+    if signed_conversion_is_exact(keys) {
+        greedy_exact::<true>(keys, budget)
+    } else {
+        greedy_exact::<false>(keys, budget)
+    }
+}
+
+/// The best endpoint a scan has seen so far.
+struct Best {
+    loss: f64,
+    /// Table index of its gap; `usize::MAX` until a live gap is scored.
+    index: usize,
+    key: Key,
+}
+
+/// The exact engine, with keys converted through [`key_to_f64`].
+fn greedy_exact<const SIGNED: bool>(keys: &[Key], budget: PoisonBudget) -> Result<GreedyPlan> {
     let mut oracle = IncrementalOracle::from_sorted_keys(keys);
     let clean_mse = oracle.clean_mse();
-    let shift = oracle.shift();
-    let mut gaps = initial_gaps(keys, shift);
     let mut chosen = Vec::with_capacity(budget.count);
     let mut losses = Vec::with_capacity(budget.count);
+    if budget.count == 0 {
+        return Ok(GreedyPlan {
+            keys: chosen,
+            losses,
+            clean_mse,
+        });
+    }
+    let shift = oracle.shift();
+    let mut gaps = gap_table::<SIGNED>(keys, shift);
+    // The previous step's accepted key, not yet folded into the table:
+    // `gaps[..split]` lie above it and `gaps[split..]` below it, and `xp`
+    // is its shifted value.
+    let mut pending: Option<(usize, f64)> = None;
 
     for _ in 0..budget.count {
-        // Exact per-step argmax: every gap endpoint, O(1) each, scanned in
-        // ascending key order (ties keep the first maximum, mirroring the
-        // original loop's iteration order).
-        let mut best: Option<(usize, Key, f64)> = None;
-        for (gi, gap) in gaps.iter().enumerate() {
-            let lo_loss = oracle.loss_insert_with(gap.lo, gap.idx, gap.suffix);
-            if best.is_none_or(|(_, _, b)| lo_loss > b) {
-                best = Some((gi, gap.lo, lo_loss));
-            }
-            if gap.hi != gap.lo {
-                let hi_loss = oracle.loss_insert_with(gap.hi, gap.idx, gap.suffix);
-                if best.is_none_or(|(_, _, b)| hi_loss > b) {
-                    best = Some((gi, gap.hi, hi_loss));
-                }
+        let scorer = oracle.insert_scorer();
+        let mut best = Best {
+            loss: f64::NEG_INFINITY,
+            index: usize::MAX,
+            key: 0,
+        };
+        // Ascending key order: the table's back (the low gaps) first.
+        match pending {
+            None => scan::<SIGNED>(&mut gaps, 0, &scorer, shift, |_| {}, &mut best),
+            Some((split, xp)) => {
+                let (above, below) = gaps.split_at_mut(split);
+                scan::<SIGNED>(below, split, &scorer, shift, |g| g.suffix += xp, &mut best);
+                scan::<SIGNED>(above, 0, &scorer, shift, |g| g.rank += 1.0, &mut best);
             }
         }
-        let Some((gi, kp, loss)) = best else { break };
+        if best.index == usize::MAX {
+            break;
+        }
+        let kp = best.key;
         oracle.insert(kp)?;
-        if !shrink_gap(&mut gaps[gi], kp) {
-            gaps.remove(gi);
-        }
-        // One sweep keeps every cached gap state current: gaps above the
-        // new key see one more key below them; gaps below see its shifted
-        // value join their suffix sum.
-        let xp = kp as f64 - shift;
-        for gap in &mut gaps {
-            if gap.lo > kp {
-                gap.idx += 1;
-            } else {
-                debug_assert!(gap.hi < kp);
-                gap.suffix += xp;
-            }
-        }
+        let gap = &mut gaps[best.index];
+        // What is left of the winner's gap lies above `kp` exactly when
+        // `kp` was its low endpoint.
+        let left_above = kp == gap.lo;
+        gap.consume(kp);
+        let split = best.index + usize::from(left_above);
+        pending = Some((split, key_to_f64::<SIGNED>(kp) - shift));
         chosen.push(kp);
-        losses.push(loss);
+        losses.push(best.loss);
     }
     Ok(GreedyPlan {
         keys: chosen,
         losses,
         clean_mse,
     })
+}
+
+/// Gaps an exact scan scores per batch. A batch's losses go to a stack
+/// buffer, so the scoring loop carries no argmax from gap to gap and the
+/// divides of neighbouring gaps overlap; only a batch whose best loss
+/// beats the running best is walked again, in key order.
+const SCAN_BATCH: usize = 64;
+
+/// One part of an exact step's scan over `region`, the table entries
+/// from index `offset` on: applies `update` to every entry, scores every
+/// live gap's two endpoints, and folds them into `best` in ascending key
+/// order (the table is descending, so back to front) under the strict
+/// `>`, so ties keep the lowest key.
+#[inline(always)]
+fn scan<const SIGNED: bool>(
+    region: &mut [Gap],
+    offset: usize,
+    scorer: &InsertScorer,
+    shift: f64,
+    update: impl Fn(&mut Gap),
+    best: &mut Best,
+) {
+    let mut losses = [[0.0; 2]; SCAN_BATCH];
+    let mut end = region.len();
+    for batch in region.rchunks_mut(SCAN_BATCH) {
+        let start = end - batch.len();
+        end = start;
+        // An exhausted gap is scored too, on stale endpoints; the walk
+        // below skips it, and it can only cause a needless walk.
+        let mut top = [f64::NEG_INFINITY; 2];
+        for (gap, pair) in batch.iter_mut().zip(&mut losses) {
+            update(gap);
+            let x = [gap.lo, gap.hi].map(|k| key_to_f64::<SIGNED>(k) - shift);
+            *pair = scorer.losses(x, gap.rank, gap.suffix);
+            for lane in 0..2 {
+                if pair[lane] > top[lane] {
+                    top[lane] = pair[lane];
+                }
+            }
+        }
+        if top[0] <= best.loss && top[1] <= best.loss {
+            continue;
+        }
+        for (i, (gap, &[lo_loss, hi_loss])) in batch.iter().zip(&losses).enumerate().rev() {
+            if !gap.is_live() {
+                continue;
+            }
+            if lo_loss > best.loss {
+                *best = Best {
+                    loss: lo_loss,
+                    index: offset + start + i,
+                    key: gap.lo,
+                };
+            }
+            // A one-key gap scores the same key twice; the strict `>`
+            // keeps the first.
+            if hi_loss > best.loss {
+                *best = Best {
+                    loss: hi_loss,
+                    index: offset + start + i,
+                    key: gap.hi,
+                };
+            }
+        }
+    }
 }
 
 /// Max-heap entry of the lazy engine: priority is the candidate loss
@@ -278,22 +386,27 @@ pub fn greedy_poison_lazy(ks: &KeySet, budget: PoisonBudget) -> Result<GreedyPla
     let shift = oracle.shift();
 
     // Slab of live gaps (stable ids for heap entries, assigned in
-    // ascending key order) + initial heap fill from the same O(n) pass
-    // the exact engine starts from: every initial candidate is evaluated
-    // in O(1) against the precomputed per-gap rank/suffix cache, and the
-    // heap is built by one O(n) heapify instead of n pushes.
-    let mut slab: Vec<Option<(GapState, u32)>> = Vec::new();
-    let mut entries: Vec<LazyEntry> = Vec::new();
-    for gap in initial_gaps(keys, shift) {
+    // ascending key order) + initial heap fill from the gap table the
+    // exact engine starts from: every initial candidate is evaluated
+    // in O(1) against the table's cached rank/suffix, and the heap is
+    // built by one O(n) heapify instead of n pushes.
+    let gaps = if signed_conversion_is_exact(keys) {
+        gap_table::<true>(keys, shift)
+    } else {
+        gap_table::<false>(keys, shift)
+    };
+    let scorer = oracle.insert_scorer();
+    let mut slab: Vec<Option<(Gap, u32)>> = Vec::with_capacity(gaps.len());
+    let mut entries: Vec<LazyEntry> = Vec::with_capacity(gaps.len());
+    for gap in gaps.into_iter().rev() {
         let id = slab.len() as u32;
-        let lo_loss = oracle.loss_insert_with(gap.lo, gap.idx, gap.suffix);
-        let (mut key, mut loss) = (gap.lo, lo_loss);
-        if gap.hi != gap.lo {
-            let hi_loss = oracle.loss_insert_with(gap.hi, gap.idx, gap.suffix);
-            if hi_loss > lo_loss {
-                (key, loss) = (gap.hi, hi_loss);
-            }
-        }
+        let x = [gap.lo, gap.hi].map(|k| k as f64 - shift);
+        let [lo_loss, hi_loss] = scorer.losses(x, gap.rank, gap.suffix);
+        let (key, loss) = if hi_loss > lo_loss {
+            (gap.hi, hi_loss)
+        } else {
+            (gap.lo, lo_loss)
+        };
         slab.push(Some((gap, 0)));
         entries.push(LazyEntry {
             loss_bits: loss.to_bits(),
@@ -372,7 +485,7 @@ pub fn greedy_poison_lazy(ks: &KeySet, budget: PoisonBudget) -> Result<GreedyPla
         let kp = accepted.key;
         oracle.insert(kp)?;
         let (mut gap, stamp) = slab[accepted.id as usize].take().expect("live gap");
-        if shrink_gap(&mut gap, kp) {
+        if gap.consume(kp) {
             slab[accepted.id as usize] = Some((gap, stamp + 1));
         }
         // Greedy poison clusters (Figure 4): after an insertion, the next
@@ -413,7 +526,7 @@ const LAZY_NEIGHBOURHOOD: usize = 6;
 
 /// The accepted gap (if still live) plus up to [`LAZY_NEIGHBOURHOOD`] live
 /// gaps on each side in id (= key) order.
-fn neighbourhood(slab: &[Option<(GapState, u32)>], centre: usize) -> Vec<usize> {
+fn neighbourhood(slab: &[Option<(Gap, u32)>], centre: usize) -> Vec<usize> {
     let mut ids = Vec::with_capacity(2 * LAZY_NEIGHBOURHOOD + 1);
     if slab[centre].is_some() {
         ids.push(centre);
@@ -444,7 +557,7 @@ fn neighbourhood(slab: &[Option<(GapState, u32)>], centre: usize) -> Vec<usize> 
 /// Evaluates both endpoints of `gap` against the oracle's *current*
 /// moments, querying rank and suffix from the sorted blocks (the gap
 /// interior is empty, so one rank/suffix pair serves both endpoints).
-fn best_endpoint(oracle: &IncrementalOracle, gap: &GapState) -> (Key, f64) {
+fn best_endpoint(oracle: &IncrementalOracle, gap: &Gap) -> (Key, f64) {
     #[cfg(test)]
     tests::REFRESHES.with(|n| n.set(n.get() + 1));
     let idx = oracle.rank_below(gap.lo);
@@ -466,7 +579,9 @@ mod tests {
     use super::*;
     use crate::single::optimal_single_point_with;
     use crate::PoisonOracle;
+    use proptest::prelude::*;
     use std::cell::Cell;
+    use std::collections::BTreeSet;
 
     thread_local! {
         /// `best_endpoint` calls on this thread: every gap evaluation the
@@ -506,6 +621,146 @@ mod tests {
             losses,
             clean_mse,
         })
+    }
+
+    /// One gap of the unfused exact loop, with its rank as a `usize`
+    /// insertion index.
+    #[derive(Debug, Clone, Copy)]
+    struct GapState {
+        lo: Key,
+        hi: Key,
+        idx: usize,
+        suffix: f64,
+    }
+
+    /// The exact engine without the fused scan: a `Vec<GapState>` in
+    /// ascending key order built from a `suffix_from` array, every endpoint
+    /// scored on its own, one more sweep per accepted point to update every
+    /// cached rank and suffix, and exhausted gaps removed. The engine must
+    /// match it bit for bit.
+    fn greedy_poison_unfused(keys: &[Key], budget: PoisonBudget) -> Result<GreedyPlan> {
+        let mut oracle = IncrementalOracle::from_sorted_keys(keys);
+        let clean_mse = oracle.clean_mse();
+        let shift = oracle.shift();
+        let n = keys.len();
+        let mut suffix_from = vec![0.0; n + 1];
+        for i in (0..n).rev() {
+            suffix_from[i] = suffix_from[i + 1] + (keys[i] as f64 - shift);
+        }
+        let mut gaps = Vec::new();
+        for (i, w) in keys.windows(2).enumerate() {
+            if w[1] - w[0] > 1 {
+                gaps.push(GapState {
+                    lo: w[0] + 1,
+                    hi: w[1] - 1,
+                    idx: i + 1,
+                    suffix: suffix_from[i + 1],
+                });
+            }
+        }
+        let mut chosen = Vec::new();
+        let mut losses = Vec::new();
+        for _ in 0..budget.count {
+            let mut best: Option<(usize, Key, f64)> = None;
+            for (gi, gap) in gaps.iter().enumerate() {
+                let lo_loss = oracle.loss_insert_with(gap.lo, gap.idx, gap.suffix);
+                if best.is_none_or(|(_, _, b)| lo_loss > b) {
+                    best = Some((gi, gap.lo, lo_loss));
+                }
+                if gap.hi != gap.lo {
+                    let hi_loss = oracle.loss_insert_with(gap.hi, gap.idx, gap.suffix);
+                    if best.is_none_or(|(_, _, b)| hi_loss > b) {
+                        best = Some((gi, gap.hi, hi_loss));
+                    }
+                }
+            }
+            let Some((gi, kp, loss)) = best else { break };
+            oracle.insert(kp)?;
+            let gap = &mut gaps[gi];
+            if kp == gap.lo {
+                gap.lo += 1;
+            } else {
+                gap.hi -= 1;
+            }
+            if gap.lo > gap.hi {
+                gaps.remove(gi);
+            }
+            let xp = kp as f64 - shift;
+            for gap in &mut gaps {
+                if gap.lo > kp {
+                    gap.idx += 1;
+                } else {
+                    gap.suffix += xp;
+                }
+            }
+            chosen.push(kp);
+            losses.push(loss);
+        }
+        Ok(GreedyPlan {
+            keys: chosen,
+            losses,
+            clean_mse,
+        })
+    }
+
+    /// A standard normal draw (Box–Muller).
+    fn normal(rng: &mut TestRng) -> f64 {
+        let u = 1.0 - rng.unit_f64();
+        (-2.0 * u.ln()).sqrt() * (std::f64::consts::TAU * rng.unit_f64()).cos()
+    }
+
+    /// `n` draws of one keyset shape, deduplicated and sorted, and a budget
+    /// large enough to run the shape's saturated case out of free slots.
+    fn shaped_keys(shape: usize, n: usize, rng: &mut TestRng) -> (Vec<Key>, usize) {
+        let top = i64::MAX as Key;
+        let draw = |rng: &mut TestRng| -> Key {
+            match shape {
+                0 => rng.below(10 * n as u64),
+                1 => (1e6 + 1e4 * normal(rng)).round().max(0.0) as Key,
+                2 => (10.0 + 1.5 * normal(rng)).exp().round() as Key,
+                3 => 1 + rng.below(n as u64).pow(2),
+                4 => rng.below(n as u64 + n as u64 / 8 + 2),
+                _ => top - 5 * n as u64 + rng.below(10 * n as u64),
+            }
+        };
+        let keys: BTreeSet<Key> = (0..n).map(|_| draw(rng)).collect();
+        let keys: Vec<Key> = keys.into_iter().collect();
+        let free = (keys[keys.len() - 1] - keys[0] + 1) as usize - keys.len();
+        (keys, free.min(60) + 3)
+    }
+
+    proptest! {
+        #[test]
+        fn exact_engine_matches_the_unfused_loop_bit_for_bit(
+            seed in 0u64..u64::MAX,
+            shape in 0usize..6,
+            n in 2usize..300,
+            budget in 0usize..3,
+        ) {
+            let (keys, many) = shaped_keys(shape, n, &mut TestRng::new(seed));
+            prop_assume!(keys.len() >= 2);
+            let budget = PoisonBudget::keys([0, 1, many][budget]);
+            let fused = greedy_poison_sorted(&keys, budget).unwrap();
+            let unfused = greedy_poison_unfused(&keys, budget).unwrap();
+            prop_assert_eq!(&fused.keys, &unfused.keys, "shape {} keys {:?}", shape, keys);
+            prop_assert_eq!(fused.clean_mse.to_bits(), unfused.clean_mse.to_bits());
+            let bits = |plan: &GreedyPlan| plan.losses.iter().map(|l| l.to_bits()).collect::<Vec<_>>();
+            prop_assert_eq!(bits(&fused), bits(&unfused), "shape {}", shape);
+        }
+    }
+
+    #[test]
+    fn shaped_keys_cover_saturation_and_the_signed_limit() {
+        // The property above must see its edge cases: a saturated shape
+        // whose budget outruns its free slots (tombstones, early stop) and
+        // keysets on both sides of i64::MAX.
+        let mut rng = TestRng::new(7);
+        let (tiny, many) = shaped_keys(4, 50, &mut rng);
+        let plan = greedy_poison_sorted(&tiny, PoisonBudget::keys(many)).unwrap();
+        assert!(plan.keys.len() < many, "{} of {many}", plan.keys.len());
+        let (high, _) = shaped_keys(5, 200, &mut rng);
+        let top = i64::MAX as Key;
+        assert!(high[0] <= top && high[high.len() - 1] > top);
     }
 
     #[test]

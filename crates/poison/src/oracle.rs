@@ -29,8 +29,78 @@
 
 use lis_core::error::{LisError, Result};
 use lis_core::keys::{Key, KeySet};
-use lis_core::linreg::optimal_mse;
-use lis_core::stats::{midpoint_shift, rank_sq_sum, rank_sum, CdfMoments};
+use lis_core::linreg::{fit_sorted_slice, key_to_f64, optimal_mse, signed_conversion_is_exact};
+use lis_core::stats::{rank_sq_sum, rank_sum, CdfMoments};
+
+/// The loss of the regression refit after one insertion into `n` keys
+/// with shifted sums `Σx`, `Σx²` and `Σxr`: the one formula every oracle
+/// and campaign engine scores a candidate with.
+///
+/// It holds what no candidate changes: `n + 1`, and `M_R` and `Var_R` of
+/// the ranks `1..=n+1`, computed exactly as [`CdfMoments::mean_r`] and
+/// [`CdfMoments::var_r`] compute them. A candidate then costs the four
+/// divides [`optimal_mse`] cannot avoid (`Σx/(n+1)`, `Σx²/(n+1)`,
+/// `Σxr/(n+1)` and `Cov²/Var_X`), in the same IEEE operations and order,
+/// so every loss equals `optimal_mse` over the augmented [`CdfMoments`]
+/// bit for bit.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct InsertScorer {
+    n1: f64,
+    sum_x: f64,
+    sum_xx: f64,
+    sum_xr: f64,
+    mean_r: f64,
+    var_r: f64,
+}
+
+impl InsertScorer {
+    /// Scorer for one insertion into `n` keys with the given shifted sums.
+    pub(crate) fn new(n: usize, sum_x: f64, sum_xx: f64, sum_xr: f64) -> Self {
+        let n1 = n + 1;
+        let mean_r = rank_sum(n1) / n1 as f64;
+        Self {
+            n1: n1 as f64,
+            sum_x,
+            sum_xx,
+            sum_xr,
+            mean_r,
+            var_r: (rank_sq_sum(n1) / n1 as f64 - mean_r * mean_r).max(0.0),
+        }
+    }
+
+    /// Loss after inserting the key whose shifted value is `xp` at 1-based
+    /// rank `rank`, where `suffix` is the shifted-key sum of every key
+    /// above it.
+    pub(crate) fn loss(&self, xp: f64, rank: f64, suffix: f64) -> f64 {
+        self.losses([xp], rank, suffix)[0]
+    }
+
+    /// [`InsertScorer::loss`] for `L` candidates that share one rank and
+    /// suffix, as a gap's two endpoints do: the exact greedy scan's batch
+    /// loop scores such a pair as one two-lane SSE2 vector.
+    #[inline(always)]
+    pub(crate) fn losses<const L: usize>(&self, xp: [f64; L], rank: f64, suffix: f64) -> [f64; L] {
+        // Compound effect: every key above the candidate gains one rank,
+        // adding its shifted value to the cross moment once.
+        let sum_xr = self.sum_xr + suffix;
+        xp.map(|x| {
+            let mean_x = (self.sum_x + x) / self.n1;
+            let var_x = ((self.sum_xx + x * x) / self.n1 - mean_x * mean_x).max(0.0);
+            let cov = (sum_xr + x * rank) / self.n1 - mean_x * self.mean_r;
+            let explained = (self.var_r - cov * cov / var_x).max(0.0);
+            if var_x <= 0.0 {
+                self.var_r
+            } else {
+                explained
+            }
+        })
+    }
+}
+
+/// `k − shift` for every key of `keys`, converted through [`key_to_f64`].
+fn shifted<const SIGNED: bool>(keys: &[Key], shift: f64) -> impl Iterator<Item = f64> + '_ {
+    keys.iter().map(move |&k| key_to_f64::<SIGNED>(k) - shift)
+}
 
 /// Precomputed state for constant-time poisoned-loss queries against a
 /// fixed legitimate keyset.
@@ -43,50 +113,35 @@ pub struct PoisonOracle {
     /// `suffix[i] = Σ_{j ≥ i} xs[j]`; `suffix[n] = 0`.
     suffix: Vec<f64>,
     shift: f64,
-    sum_x: f64,
-    sum_xx: f64,
-    sum_xr: f64,
+    /// Scores one insertion into the legitimate keyset.
+    scorer: InsertScorer,
     /// Loss of the clean regression (for ratio reporting).
     clean_mse: f64,
 }
 
 impl PoisonOracle {
-    /// Builds the oracle in `O(n)` (after the keyset's own sort).
+    /// Builds the oracle in `O(n)` (after the keyset's own sort). The sums
+    /// and the clean loss are [`fit_sorted_slice`]'s, and keys convert as
+    /// there: through `i64` when the last key allows it.
     pub fn new(ks: &KeySet) -> Self {
-        let n = ks.len();
-        let shift = midpoint_shift(ks.min_key(), ks.max_key());
         let keys = ks.keys().to_vec();
-        let xs: Vec<f64> = keys.iter().map(|&k| k as f64 - shift).collect();
-        let mut suffix = vec![0.0; n + 1];
-        for i in (0..n).rev() {
+        let (fit, m) = fit_sorted_slice(&keys).expect("a KeySet is never empty");
+        let xs: Vec<f64> = if signed_conversion_is_exact(&keys) {
+            shifted::<true>(&keys, m.shift).collect()
+        } else {
+            shifted::<false>(&keys, m.shift).collect()
+        };
+        let mut suffix = vec![0.0; m.n + 1];
+        for i in (0..m.n).rev() {
             suffix[i] = suffix[i + 1] + xs[i];
         }
-        let mut sum_x = 0.0;
-        let mut sum_xx = 0.0;
-        let mut sum_xr = 0.0;
-        for (i, &x) in xs.iter().enumerate() {
-            sum_x += x;
-            sum_xx += x * x;
-            sum_xr += x * (i + 1) as f64;
-        }
-        let clean = CdfMoments {
-            n,
-            shift,
-            sum_x,
-            sum_xx,
-            sum_r: rank_sum(n),
-            sum_rr: rank_sq_sum(n),
-            sum_xr,
-        };
         Self {
             xs,
             keys,
             suffix,
-            shift,
-            sum_x,
-            sum_xx,
-            sum_xr,
-            clean_mse: optimal_mse(&clean),
+            shift: m.shift,
+            scorer: InsertScorer::new(m.n, m.sum_x, m.sum_xx, m.sum_xr),
+            clean_mse: fit.mse,
         }
     }
 
@@ -110,21 +165,8 @@ impl PoisonOracle {
             self.keys.binary_search(&kp).is_err(),
             "poisoning key {kp} collides with a legitimate key"
         );
-        let n1 = self.xs.len() + 1;
-        let xp = kp as f64 - self.shift;
-        let rp = (idx + 1) as f64;
-        let m = CdfMoments {
-            n: n1,
-            shift: self.shift,
-            sum_x: self.sum_x + xp,
-            sum_xx: self.sum_xx + xp * xp,
-            sum_r: rank_sum(n1),
-            sum_rr: rank_sq_sum(n1),
-            // Compound effect: every key above kp gains one rank, adding
-            // its (shifted) key value to the cross moment once.
-            sum_xr: self.sum_xr + self.suffix[idx] + xp * rp,
-        };
-        optimal_mse(&m)
+        self.scorer
+            .loss(kp as f64 - self.shift, (idx + 1) as f64, self.suffix[idx])
     }
 
     /// Loss of the regression refit on `K ∪ {kp}`; `O(log n)` rank lookup.
@@ -201,50 +243,35 @@ impl IncrementalOracle {
 
     /// Builds the oracle over an already-sorted, duplicate-free slice in
     /// `O(n)` — the zero-copy entry the per-leaf attack loops use.
+    ///
+    /// The sums and the clean loss are [`fit_sorted_slice`]'s, and the
+    /// block sums convert keys as it does: through `i64` when the last key
+    /// allows it.
     pub fn from_sorted_keys(keys: &[Key]) -> Self {
         debug_assert!(keys.windows(2).all(|w| w[0] < w[1]), "keys must be sorted");
-        debug_assert!(!keys.is_empty(), "oracle needs at least one key");
-        let n = keys.len();
-        let shift = midpoint_shift(keys[0], keys[n - 1]);
-        let mut sum_x = 0.0;
-        let mut sum_xx = 0.0;
-        let mut sum_xr = 0.0;
-        for (i, &k) in keys.iter().enumerate() {
-            let x = k as f64 - shift;
-            sum_x += x;
-            sum_xx += x * x;
-            sum_xr += x * (i + 1) as f64;
-        }
-        let target = block_target(n);
-        let mut blocks = Vec::with_capacity(n.div_ceil(target));
+        let (fit, m) = fit_sorted_slice(keys).expect("oracle needs at least one key");
+        let signed = signed_conversion_is_exact(keys);
+        let target = block_target(m.n);
+        let mut blocks = Vec::with_capacity(m.n.div_ceil(target));
         let mut firsts = Vec::with_capacity(blocks.capacity());
         for chunk in keys.chunks(target) {
             firsts.push(chunk[0]);
             blocks.push(Block {
                 keys: chunk.to_vec(),
-                sum_x: chunk.iter().map(|&k| k as f64 - shift).sum(),
+                sum_x: if signed {
+                    shifted::<true>(chunk, m.shift).sum()
+                } else {
+                    shifted::<false>(chunk, m.shift).sum()
+                },
             });
         }
-        let clean_mse = if n >= 2 {
-            optimal_mse(&CdfMoments {
-                n,
-                shift,
-                sum_x,
-                sum_xx,
-                sum_r: rank_sum(n),
-                sum_rr: rank_sq_sum(n),
-                sum_xr,
-            })
-        } else {
-            0.0
-        };
         Self {
-            shift,
-            n,
-            sum_x,
-            sum_xx,
-            sum_xr,
-            clean_mse,
+            shift: m.shift,
+            n: m.n,
+            sum_x: m.sum_x,
+            sum_xx: m.sum_xx,
+            sum_xr: m.sum_xr,
+            clean_mse: fit.mse,
             blocks,
             firsts,
             target,
@@ -346,20 +373,14 @@ impl IncrementalOracle {
     /// maintain both per gap).
     pub fn loss_insert_with(&self, kp: Key, idx: usize, suffix_above: f64) -> f64 {
         debug_assert!(idx <= self.n);
-        let n1 = self.n + 1;
-        let xp = kp as f64 - self.shift;
-        let rp = (idx + 1) as f64;
-        optimal_mse(&CdfMoments {
-            n: n1,
-            shift: self.shift,
-            sum_x: self.sum_x + xp,
-            sum_xx: self.sum_xx + xp * xp,
-            sum_r: rank_sum(n1),
-            sum_rr: rank_sq_sum(n1),
-            // Compound effect: every key above kp gains one rank, adding
-            // its shifted value to the cross moment once.
-            sum_xr: self.sum_xr + suffix_above + xp * rp,
-        })
+        self.insert_scorer()
+            .loss(kp as f64 - self.shift, (idx + 1) as f64, suffix_above)
+    }
+
+    /// Scores insertions into the *current* keyset; valid until the next
+    /// [`IncrementalOracle::insert`] or [`IncrementalOracle::remove`].
+    pub(crate) fn insert_scorer(&self) -> InsertScorer {
+        InsertScorer::new(self.n, self.sum_x, self.sum_xx, self.sum_xr)
     }
 
     /// Loss of the regression refit on the current set ∪ `{kp}`;
@@ -480,9 +501,144 @@ impl IncrementalOracle {
 mod tests {
     use super::*;
     use lis_core::keys::KeyDomain;
+    use lis_core::stats::midpoint_shift;
+    use proptest::TestRng;
 
     fn paper_keys() -> KeySet {
         KeySet::new(vec![2, 6, 7, 12], KeyDomain::new(1, 13).unwrap()).unwrap()
+    }
+
+    /// `optimal_mse` over the moments of `n` keys with the given shifted
+    /// sums plus one candidate: the formula [`InsertScorer`] must equal.
+    fn refit_mse(n: usize, sums: [f64; 3], xp: f64, rank: f64, suffix: f64) -> f64 {
+        let [sum_x, sum_xx, sum_xr] = sums;
+        optimal_mse(&CdfMoments {
+            n: n + 1,
+            shift: 0.0,
+            sum_x: sum_x + xp,
+            sum_xx: sum_xx + xp * xp,
+            sum_r: rank_sum(n + 1),
+            sum_rr: rank_sq_sum(n + 1),
+            sum_xr: sum_xr + suffix + xp * rank,
+        })
+    }
+
+    #[test]
+    fn insert_scorer_matches_optimal_mse_bit_for_bit() {
+        // Seeded random moments of three kinds: sums of real shifted
+        // keysets, the same with the cross moment blown up (the clamp to
+        // 0), and n copies of one key with the candidate on it (Var_X = 0).
+        let mut rng = TestRng::new(0x5C0E);
+        let (mut fitted, mut clamped, mut flat) = (0, 0, 0);
+        for case in 0..3_000 {
+            let n = 1 + rng.below(400) as usize;
+            let spread = 10f64.powi(rng.below(12) as i32);
+            let xs: Vec<f64> = (0..n).map(|_| (rng.unit_f64() - 0.5) * spread).collect();
+            let mut sums = [0.0; 3];
+            for (i, &x) in xs.iter().enumerate() {
+                sums[0] += x;
+                sums[1] += x * x;
+                sums[2] += x * (i + 1) as f64;
+            }
+            let mut xp = [
+                (rng.unit_f64() - 0.5) * spread,
+                (rng.unit_f64() - 0.5) * spread,
+            ];
+            match case % 3 {
+                1 => sums[2] *= 1e3,
+                2 => {
+                    let c = rng.below(1_000) as f64 - 500.0;
+                    sums = [n as f64 * c, n as f64 * c * c, sums[2]];
+                    xp = [c, c];
+                }
+                _ => {}
+            }
+            let rank = 1.0 + rng.below(n as u64 + 1) as f64;
+            let suffix = (rng.unit_f64() - 0.5) * spread * n as f64;
+            let scorer = InsertScorer::new(n, sums[0], sums[1], sums[2]);
+            let pair = scorer.losses(xp, rank, suffix);
+            for (lane, &x) in xp.iter().enumerate() {
+                let want = refit_mse(n, sums, x, rank, suffix);
+                assert_eq!(
+                    scorer.loss(x, rank, suffix).to_bits(),
+                    want.to_bits(),
+                    "case {case}"
+                );
+                assert_eq!(
+                    pair[lane].to_bits(),
+                    want.to_bits(),
+                    "case {case} lane {lane}"
+                );
+                match want {
+                    w if w.to_bits() == scorer.var_r.to_bits() && case % 3 == 2 => flat += 1,
+                    0.0 => clamped += 1,
+                    _ => fitted += 1,
+                }
+            }
+        }
+        assert!(
+            fitted > 100 && clamped > 100 && flat > 100,
+            "{fitted} {clamped} {flat}"
+        );
+    }
+
+    #[test]
+    fn construction_converts_keys_exactly_around_i64_max() {
+        // Three blocks' worth of keys ending below, at and above i64::MAX
+        // (and at u64::MAX): every sum, block sum, shifted key and loss
+        // equals the unsigned-conversion arithmetic bit for bit.
+        let top = i64::MAX as Key;
+        let run = |last: Key, step: Key| -> Vec<Key> {
+            (0..600).rev().map(|i| last - i * step).collect()
+        };
+        for keys in [
+            run(top - 1_000, 7),
+            run(top, 5),
+            run(top + 2_000, 9),
+            run(Key::MAX, 3),
+        ] {
+            let shift = midpoint_shift(keys[0], keys[keys.len() - 1]);
+            let xs: Vec<f64> = keys.iter().map(|&k| k as f64 - shift).collect();
+            let mut sums = [0.0; 3];
+            for (i, &x) in xs.iter().enumerate() {
+                sums[0] += x;
+                sums[1] += x * x;
+                sums[2] += x * (i + 1) as f64;
+            }
+            let bits = |v: [f64; 3]| v.map(f64::to_bits);
+            let clean = optimal_mse(&CdfMoments {
+                n: keys.len(),
+                shift,
+                sum_x: sums[0],
+                sum_xx: sums[1],
+                sum_r: rank_sum(keys.len()),
+                sum_rr: rank_sq_sum(keys.len()),
+                sum_xr: sums[2],
+            });
+
+            let inc = IncrementalOracle::from_sorted_keys(&keys);
+            assert_eq!(bits([inc.sum_x, inc.sum_xx, inc.sum_xr]), bits(sums));
+            assert_eq!(inc.clean_mse().to_bits(), clean.to_bits());
+            assert!(inc.blocks.len() > 1);
+            for block in &inc.blocks {
+                let want: f64 = block.keys.iter().map(|&k| k as f64 - shift).sum();
+                assert_eq!(block.sum_x.to_bits(), want.to_bits());
+            }
+
+            let stat = PoisonOracle::new(&KeySet::from_keys(keys.clone()).unwrap());
+            let sc = stat.scorer;
+            assert_eq!(bits([sc.sum_x, sc.sum_xx, sc.sum_xr]), bits(sums));
+            assert_eq!(stat.clean_mse().to_bits(), clean.to_bits());
+            assert!(stat
+                .xs
+                .iter()
+                .zip(&xs)
+                .all(|(a, b)| a.to_bits() == b.to_bits()));
+            let kp = keys[300] + 1;
+            let want = refit_mse(keys.len(), sums, kp as f64 - shift, 302.0, stat.suffix[301]);
+            assert_eq!(stat.loss(kp).to_bits(), want.to_bits());
+            assert_eq!(inc.loss_insert(kp).to_bits(), stat.loss(kp).to_bits());
+        }
     }
 
     #[test]

@@ -46,8 +46,10 @@ pub fn optimal_single_point(ks: &KeySet) -> Result<SinglePointPlan> {
     optimal_single_point_with(ks, &oracle)
 }
 
-/// Same as [`optimal_single_point`] but reuses a prebuilt oracle (the greedy
-/// attack rebuilds the oracle once per insertion and calls this directly).
+/// Same as [`optimal_single_point`] but reuses a prebuilt oracle (the mixed
+/// insert/remove campaign rebuilds the oracle once per step and calls this
+/// directly, as does the rebuild-per-step reference loop in the greedy
+/// attack's tests).
 pub fn optimal_single_point_with(ks: &KeySet, oracle: &PoisonOracle) -> Result<SinglePointPlan> {
     if ks.len() < 2 {
         return Err(LisError::DegenerateRegression { n: ks.len() });
