@@ -33,10 +33,11 @@
 //!   attack-triggered epoch rollback via [`RollbackPolicy`] — lives in
 //!   [`server`] and is driven through [`Server::builder`].
 //!
-//! One serve code path covers offline experiments (the `lis` pipeline's
-//! batched measurements run through [`Server::serve_all`]), the online
-//! attack plane, and the chaos ladder; wall-clock latency and throughput
-//! are measured by the separate `benchmark/` package.
+//! One serve code path covers offline probe sweeps
+//! ([`Server::serve_all`]), the online attack plane, and the chaos ladder.
+//! A served answer equals a direct `DynIndex::lookup_batch` answer, which
+//! is how the `lis` pipeline measures lookup cost; wall-clock latency and
+//! throughput are measured by the separate `benchmark/` package.
 //!
 //! ## Example
 //!

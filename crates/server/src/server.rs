@@ -27,9 +27,10 @@
 //! The same object serves three modes:
 //!
 //! * **offline measurement** — [`Server::serve_all`] pushes a probe slice
-//!   through the queue and returns the answers in probe order; the
-//!   experiment pipeline measures lookup cost through this path, so the
-//!   harness and the live front end exercise identical serving code;
+//!   through the queue and returns the answers in probe order, identical
+//!   to one direct [`DynIndex::lookup_batch`] over the same slice (the
+//!   experiment pipeline measures with that direct call, and a test there
+//!   checks the two agree);
 //! * **live traffic** — client threads submit keys continuously through
 //!   [`ServerHandle::submit`] while the histogram tracks tail latency in
 //!   flight;
@@ -105,9 +106,9 @@ impl ServeConfig {
         }
     }
 
-    /// Offline-measurement defaults used by the experiment pipeline: two
-    /// workers and large batches, so a probe sweep drains at full batch
-    /// width without deadline stalls.
+    /// Offline-measurement defaults for [`Server::serve_all`]: two workers
+    /// and large batches, so a probe sweep drains at full batch width
+    /// without deadline stalls.
     pub fn offline() -> Self {
         Self {
             workers: 2,

@@ -10,12 +10,12 @@
 //! the [`IndexRegistry`], [`Attack`], [`Defense`]), so a new experiment is
 //! a few lines instead of a hand-wired harness.
 //!
-//! Lookups are measured through the serving front end
-//! ([`lis_server::Server`]): probes flow through the same bounded queue,
-//! micro-batcher, and worker pool that serve live traffic, draining into
-//! [`DynIndex::lookup_batch`] — one serve code path for offline
-//! experiments and live serving, with the virtual dispatch amortized over
-//! whole batches.
+//! Lookup cost is measured with one [`DynIndex::lookup_batch_into`] sweep
+//! per build over the whole probe slice. That is the batch call the
+//! serving front end's workers drain their micro-batches into, so a served
+//! answer equals a measured one field for field; a unit test here serves
+//! the pipeline's probes through [`lis_server::Server::serve_all`] and
+//! checks it.
 //!
 //! ## Example
 //!
@@ -40,13 +40,12 @@
 //! ```
 
 use lis_core::error::{LisError, Result};
-use lis_core::index::{DynIndex, IndexRegistry};
+use lis_core::index::{DynIndex, IndexRegistry, Lookup};
 use lis_core::keys::KeySet;
 use lis_core::metrics::{ratio_loss, LookupCostSummary};
 use lis_core::Key;
 use lis_defense::{evaluate_defense_campaign, Defense, DefenseOutcome, DefenseReport};
 use lis_poison::{Attack, AttackOutcome};
-use lis_server::{ServeConfig, Server};
 use lis_workloads::{
     domain_for_density, lognormal_keys, normal_keys, realsim, trial_rng, uniform_keys, ResultTable,
     DEFAULT_SEED,
@@ -54,7 +53,6 @@ use lis_workloads::{
 use rand::Rng;
 use std::collections::HashMap;
 use std::panic::AssertUnwindSafe;
-use std::sync::Arc;
 
 /// Which keyset the pipeline starts from.
 #[derive(Debug, Clone)]
@@ -365,10 +363,9 @@ impl Pipeline {
     /// threads (every structure in the workspace is `Send + Sync`), and
     /// *within* each victim the model-based builds fan their own training
     /// out too (RMI leaf fits, deep-RMI stage fits — see
-    /// [`lis_core::par`]). Probe measurements flow through the concurrent
-    /// serving front end ([`lis_server::Server`]), and a panicking victim
-    /// build surfaces as [`LisError::Invariant`] instead of crashing the
-    /// run.
+    /// [`lis_core::par`]). Each build is measured with one batched lookup
+    /// sweep over the probes, and a panicking victim build surfaces as
+    /// [`LisError::Invariant`] instead of crashing the run.
     pub fn run(self) -> Result<PipelineReport> {
         if self.index_names.is_empty() {
             return Err(LisError::Invariant(
@@ -414,23 +411,7 @@ impl Pipeline {
             .map(|d| d.retained.clone())
             .unwrap_or(suspect);
 
-        // Probe keys: legitimate keys that survived the whole pipeline, so
-        // both builds must answer them and costs are comparable.
-        let survivors: Vec<Key> = final_keyset
-            .keys()
-            .iter()
-            .copied()
-            .filter(|&k| clean.contains(k))
-            .collect();
-        if survivors.is_empty() {
-            return Err(LisError::Invariant(
-                "no legitimate key survived the pipeline".into(),
-            ));
-        }
-        let mut rng = trial_rng(self.seed ^ 0x51ED_BEEF, self.trial);
-        let probes: Vec<Key> = (0..self.queries)
-            .map(|_| survivors[rng.gen_range(0..survivors.len())])
-            .collect();
+        let probes = draw_probes(&clean, &final_keyset, self.seed, self.trial, self.queries)?;
 
         // Build and measure every distinct victim on a bounded scoped
         // thread pool: repeated names are measured once (builds are
@@ -444,10 +425,11 @@ impl Pipeline {
             }
         }
         let measure = |name: &String| -> Result<IndexReport> {
-            let clean_idx = Arc::new(self.registry.build(name, &clean)?);
-            let final_idx = Arc::new(self.registry.build(name, &final_keyset)?);
-            let clean_costs = served_costs(&clean_idx, &probes)?;
-            let final_costs = served_costs(&final_idx, &probes)?;
+            let clean_idx = self.registry.build(name, &clean)?;
+            let final_idx = self.registry.build(name, &final_keyset)?;
+            let mut answers = Vec::with_capacity(probes.len());
+            let clean_costs = measured_costs(&clean_idx, &probes, &mut answers)?;
+            let final_costs = measured_costs(&final_idx, &probes, &mut answers)?;
             Ok(IndexReport {
                 name: name.clone(),
                 clean_loss: clean_idx.loss(),
@@ -554,16 +536,45 @@ impl Pipeline {
     }
 }
 
-/// Serves the probe set through the concurrent front end — the same
-/// bounded-queue → micro-batcher → worker-pool path live traffic takes —
-/// and returns the cost summary plus whether every probe was found. An
-/// empty probe set is propagated as an error rather than asserted away.
-fn served_costs(index: &Arc<DynIndex>, probes: &[Key]) -> Result<(LookupCostSummary, bool)> {
-    let server = Server::start(Arc::clone(index), ServeConfig::offline());
-    let results = server.serve_all(probes)?;
-    server.shutdown();
-    let costs: Vec<usize> = results.iter().map(|r| r.cost).collect();
-    let all_found = results.iter().all(|r| r.found);
+/// Draws `count` probe keys, uniformly with replacement, from the
+/// legitimate keys that survived the whole pipeline, so both builds must
+/// answer them and their costs are comparable.
+fn draw_probes(
+    clean: &KeySet,
+    final_keyset: &KeySet,
+    seed: u64,
+    trial: u64,
+    count: usize,
+) -> Result<Vec<Key>> {
+    let survivors: Vec<Key> = final_keyset
+        .keys()
+        .iter()
+        .copied()
+        .filter(|&k| clean.contains(k))
+        .collect();
+    if survivors.is_empty() {
+        return Err(LisError::Invariant(
+            "no legitimate key survived the pipeline".into(),
+        ));
+    }
+    let mut rng = trial_rng(seed ^ 0x51ED_BEEF, trial);
+    Ok((0..count)
+        .map(|_| survivors[rng.gen_range(0..survivors.len())])
+        .collect())
+}
+
+/// Looks the probe set up in one batched sweep into `answers` (cleared and
+/// refilled, so one buffer serves every build of a victim) and returns the
+/// cost summary plus whether every probe was found. An empty probe set is
+/// propagated as an error rather than asserted away.
+fn measured_costs(
+    index: &DynIndex,
+    probes: &[Key],
+    answers: &mut Vec<Lookup>,
+) -> Result<(LookupCostSummary, bool)> {
+    index.lookup_batch_into(probes, answers);
+    let costs: Vec<usize> = answers.iter().map(|r| r.cost).collect();
+    let all_found = answers.iter().all(|r| r.found);
     let summary = LookupCostSummary::from_counts(&costs).ok_or_else(|| {
         LisError::Invariant("lookup batch over an empty probe set has no cost summary".into())
     })?;
@@ -814,6 +825,129 @@ mod tests {
         ] {
             let ks = spec.sample(1, 0).unwrap();
             assert_eq!(ks.len(), 300, "{}", spec.label());
+        }
+    }
+
+    /// Every [`IndexReport`] field, floats as their IEEE bits, one line per
+    /// victim.
+    fn report_bits(report: &PipelineReport) -> Vec<String> {
+        report
+            .indexes
+            .iter()
+            .map(|r| {
+                format!(
+                    "{} clean={:#x}/{}/{} final={:#x}/{}/{} loss={:#x}/{:#x} mem={}/{} found={}",
+                    r.name,
+                    r.clean_cost.mean.to_bits(),
+                    r.clean_cost.max,
+                    r.clean_cost.count,
+                    r.final_cost.mean.to_bits(),
+                    r.final_cost.max,
+                    r.final_cost.count,
+                    r.clean_loss.to_bits(),
+                    r.final_loss.to_bits(),
+                    r.clean_memory_bytes,
+                    r.memory_bytes,
+                    r.all_members_found,
+                )
+            })
+            .collect()
+    }
+
+    const PINNED_SEED: u64 = 9090;
+
+    /// The two benchmark pipeline shapes, shrunk for a debug run: an
+    /// Algorithm-2 attack on uniform keys against four victims, and a
+    /// trimmed Algorithm-1 attack on log-normal keys.
+    fn benchmark_shaped_runs() -> [PipelineReport; 2] {
+        use lis_poison::{RmiAttackConfig, RmiPoisonAttack};
+        let n = 5_000;
+        let rmi = Pipeline::new(WorkloadSpec::Uniform { n, density: 0.1 })
+            .seed(PINNED_SEED)
+            .attack(RmiPoisonAttack {
+                num_models: n / 100,
+                cfg: RmiAttackConfig::new(10.0).with_max_exchanges(50),
+            })
+            .indexes(["rmi", "btree", "pla", "sharded:rmi:8"])
+            .queries(3_000)
+            .run()
+            .unwrap();
+        let n = 2_000;
+        let greedy = Pipeline::new(WorkloadSpec::LogNormal { n, density: 0.1 })
+            .seed(PINNED_SEED)
+            .attack(GreedyCdfAttack {
+                budget: PoisonBudget::percentage(10.0, n).unwrap(),
+            })
+            .defense(TrimDefense::keys(n))
+            .indexes(["rmi", "btree"])
+            .queries(2_000)
+            .run()
+            .unwrap();
+        [rmi, greedy]
+    }
+
+    #[test]
+    fn reports_are_pinned_bit_for_bit() {
+        let [rmi, greedy] = benchmark_shaped_runs();
+        assert_eq!(
+            report_bits(&rmi),
+            [
+                "rmi clean=0x402a6098ead65b7a/16/3000 final=0x402c3596de8ca11c/18/3000 \
+                 loss=0x40197c6eac5754e6/0x403321bff1f307b0 mem=43128/47408 found=true",
+                "btree clean=0x402b395810624dd3/16/3000 final=0x402b3645a1cac083/16/3000 \
+                 loss=0x0/0x0 mem=43652/47960 found=true",
+                "pla clean=0x402806a7ef9db22d/18/3000 final=0x402803ece2a53491/18/3000 \
+                 loss=0x4048283e425aee63/0x404aaa13bc3ad55d mem=40424/44904 found=true",
+                "sharded:rmi:8 clean=0x403172015d867c3f/21/3000 final=0x40322e6bdc805762/22/3000 \
+                 loss=0x401af2a75102df85/0x4035d388a17c7c70 mem=45440/49440 found=true",
+            ]
+        );
+        assert_eq!(
+            report_bits(&greedy),
+            [
+                "rmi clean=0x4021953f7ced9168/14/2000 final=0x401d3c6a7ef9db23/18/2000 \
+                 loss=0x40134d94f9953946/0x4005fdc74d57895a mem=17448/17448 found=true",
+                "btree clean=0x40264624dd2f1aa0/13/2000 final=0x402647ef9db22d0e/13/2000 \
+                 loss=0x0/0x0 mem=17512/17512 found=true",
+            ]
+        );
+    }
+
+    #[test]
+    fn reported_costs_equal_costs_served_through_the_front_end() {
+        use lis_server::{ServeConfig, Server};
+        use std::sync::Arc;
+        let registry = IndexRegistry::with_defaults();
+        for report in benchmark_shaped_runs() {
+            let probes = draw_probes(
+                &report.clean,
+                &report.final_keyset,
+                PINNED_SEED,
+                0,
+                report.probes,
+            )
+            .unwrap();
+            for row in &report.indexes {
+                let mut all_found = true;
+                for (keyset, reported) in [
+                    (&report.clean, &row.clean_cost),
+                    (&report.final_keyset, &row.final_cost),
+                ] {
+                    let index = Arc::new(registry.build(&row.name, keyset).unwrap());
+                    let server = Server::start(Arc::clone(&index), ServeConfig::offline());
+                    let served = server.serve_all(&probes).unwrap();
+                    server.shutdown();
+                    let costs: Vec<usize> = served.iter().map(|r| r.cost).collect();
+                    assert_eq!(
+                        LookupCostSummary::from_counts(&costs).as_ref(),
+                        Some(reported),
+                        "{}",
+                        row.name
+                    );
+                    all_found &= served.iter().all(|r| r.found);
+                }
+                assert_eq!(row.all_members_found, all_found, "{}", row.name);
+            }
         }
     }
 
