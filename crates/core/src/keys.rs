@@ -357,11 +357,17 @@ impl KeySet {
         }
     }
 
-    /// Merges another set of keys into this keyset (duplicates rejected).
+    /// Merges another set of keys, in any order, into this keyset in one
+    /// [`KeySet::commit`]. Each key is validated like [`KeySet::insert`];
+    /// on the first key that is out of domain or a duplicate (of a member
+    /// or of an earlier key of `keys`), returns that error and leaves the
+    /// keyset unchanged.
     pub fn insert_all<I: IntoIterator<Item = Key>>(&mut self, keys: I) -> Result<()> {
+        let mut stage = Stage::new();
         for k in keys {
-            self.insert(k)?;
+            stage.insert(self, k)?;
         }
+        self.commit(&mut stage);
         Ok(())
     }
 
@@ -895,6 +901,70 @@ mod tests {
         stage.remove(&ks, 9).unwrap();
         stage.insert(&ks, 6).unwrap();
         assert!(stage.is_empty());
+    }
+
+    /// SplitMix64: a seeded key stream for the merge tests.
+    fn splitmix(state: &mut u64) -> u64 {
+        *state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
+        let mut z = *state;
+        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+        z ^ (z >> 31)
+    }
+
+    #[test]
+    fn insert_all_equals_sequential_insert_on_random_input() {
+        for seed in 0..64u64 {
+            let mut rng = seed;
+            let domain = KeyDomain::up_to(1 + splitmix(&mut rng) % 5_000);
+            let base: Vec<Key> = (0..1 + splitmix(&mut rng) % 300)
+                .map(|_| splitmix(&mut rng) % (domain.max + 1))
+                .collect();
+            let ks = KeySet::new(base, domain).unwrap();
+            // Unsorted, fresh, distinct keys from anywhere in the domain.
+            let mut fresh = Vec::new();
+            for _ in 0..splitmix(&mut rng) % 400 {
+                let k = splitmix(&mut rng) % (domain.max + 1);
+                if !ks.contains(k) && !fresh.contains(&k) {
+                    fresh.push(k);
+                }
+            }
+            let mut expect = ks.clone();
+            for &k in &fresh {
+                expect.insert(k).unwrap();
+            }
+            let mut merged = ks.clone();
+            merged.insert_all(fresh.iter().copied()).unwrap();
+            assert_eq!(merged, expect, "seed {seed}");
+        }
+    }
+
+    #[test]
+    fn insert_all_rejects_a_bad_key_and_leaves_the_keyset_unchanged() {
+        let ks = paper_example();
+        let cases: [(&[Key], LisError); 3] = [
+            (&[9, 3, 9, 4], LisError::DuplicateKey(9)),
+            (&[9, 3, 7, 4], LisError::DuplicateKey(7)),
+            (
+                &[9, 3, 14, 4],
+                LisError::KeyOutOfDomain {
+                    key: 14,
+                    domain: ks.domain(),
+                },
+            ),
+        ];
+        for (input, want) in cases {
+            // The error sequential insertion meets first.
+            let mut sequential = ks.clone();
+            let first = input.iter().find_map(|&k| sequential.insert(k).err());
+            assert_eq!(first.as_ref(), Some(&want), "{input:?}");
+
+            let mut merged = ks.clone();
+            let err = merged.insert_all(input.iter().copied()).unwrap_err();
+            assert_eq!(err, want, "{input:?}");
+            assert_eq!(merged.keys(), ks.keys(), "{input:?} applied a prefix");
+            assert_eq!(merged.domain(), ks.domain());
+        }
     }
 
     #[test]

@@ -17,13 +17,29 @@
 //! single regression from being flooded — and (b) the exchange improves
 //! `L_RMI` by more than `ε`. Each applied exchange invalidates only the six
 //! CHANGELOSS entries that mention the two touched models, which the
-//! algorithm recomputes in `O(n/N)` per entry.
+//! algorithm recomputes. An entry is two greedy runs over partitions of
+//! about `n/N` keys with at most `t` poison keys each, so `O((n/N)·t)`.
+//!
+//! ## Parallelism
+//!
+//! Almost all of the work comes before the first exchange: the setup runs
+//! one greedy attack per model (`N` jobs) and the initial CHANGELOSS table
+//! two per boundary (`N − 1` jobs), against six per applied exchange. The
+//! jobs of each phase read only the keys and the finished setup, so both
+//! phases fan out through [`lis_core::par::map_chunks`], which runs
+//! contiguous job chunks and concatenates their results in job order; the
+//! first error in job order is the one returned, as a serial loop would.
+//! Every job is the same sequential arithmetic on whichever thread runs
+//! it, so the result is bit-identical at any worker count. The exchange
+//! loop depends on every earlier step and stays serial.
 
 use crate::greedy::{greedy_poison_sorted, PoisonBudget};
 use lis_core::error::{LisError, Result};
 use lis_core::keys::{Key, KeySet};
 use lis_core::linreg::fit_sorted_slice;
 use lis_core::metrics::ratio_loss;
+use lis_core::par;
+use std::sync::Arc;
 
 /// Parameters of the RMI attack.
 #[derive(Debug, Clone, Copy)]
@@ -152,11 +168,26 @@ struct ExchangeEval {
 
 /// Runs Algorithm 2 against `ks` partitioned into `num_models` equal-size
 /// second-stage models.
-#[allow(clippy::needless_range_loop)] // CHANGELOSS updates index neighbouring table entries
+///
+/// The setup and the initial CHANGELOSS table fan out across the
+/// machine's cores (see the module docs); the result does not depend on
+/// how many there are.
 pub fn rmi_attack(
     ks: &KeySet,
     num_models: usize,
     cfg: &RmiAttackConfig,
+) -> Result<RmiAttackResult> {
+    rmi_attack_on(ks, num_models, cfg, 0)
+}
+
+/// [`rmi_attack`] with its independent phases fanned out across at most
+/// `threads` workers (`0` = the machine's available parallelism).
+#[allow(clippy::needless_range_loop)] // CHANGELOSS updates index neighbouring table entries
+fn rmi_attack_on(
+    ks: &KeySet,
+    num_models: usize,
+    cfg: &RmiAttackConfig,
+    threads: usize,
 ) -> Result<RmiAttackResult> {
     if num_models == 0 || num_models > ks.len() {
         return Err(LisError::InvalidPartition {
@@ -177,8 +208,8 @@ pub fn rmi_attack(
         )));
     }
 
-    let keys = ks.keys();
-    let n = keys.len();
+    let shared_keys = ks.shared_keys();
+    let n = shared_keys.len();
     let total_budget = (cfg.poison_percent / 100.0 * n as f64).floor() as usize;
     let per_model = total_budget / num_models;
     let remainder = total_budget % num_models;
@@ -186,37 +217,62 @@ pub fn rmi_attack(
     let threshold =
         ((cfg.alpha * total_budget as f64 / num_models as f64).ceil() as usize).max(per_model + 1);
 
-    // Equal-size partition boundaries (same arithmetic as KeySet::partition).
-    let base = n / num_models;
-    let extra = n % num_models;
+    // Setup, one job per model on its equal-size partition: the clean
+    // loss and the greedy poisoning of the uniform volume split.
+    let bounds = ks.partition_bounds(num_models)?;
+    let keys = Arc::clone(&shared_keys);
+    let setup = par::map_chunks(
+        num_models,
+        par::effective_workers(threads, num_models),
+        move |range| {
+            range
+                .map(|i| -> Result<(f64, ModelState)> {
+                    let slice = &keys[bounds[i].clone()];
+                    let volume = per_model + usize::from(i < remainder);
+                    let (loss, poison) = eval_model(slice, volume)?;
+                    let state = ModelState {
+                        start: bounds[i].start,
+                        end: bounds[i].end,
+                        volume,
+                        loss,
+                        poison,
+                    };
+                    Ok((slice_loss(slice), state))
+                })
+                .collect()
+        },
+    );
     let mut states = Vec::with_capacity(num_models);
     let mut clean_losses = Vec::with_capacity(num_models);
-    let mut start = 0usize;
-    for i in 0..num_models {
-        let len = base + usize::from(i < extra);
-        let end = start + len;
-        clean_losses.push(slice_loss(&keys[start..end]));
-        let volume = per_model + usize::from(i < remainder);
-        let (loss, poison) = eval_model(&keys[start..end], volume)?;
-        states.push(ModelState {
-            start,
-            end,
-            volume,
-            loss,
-            poison,
-        });
-        start = end;
+    for job in setup {
+        let (clean, state) = job?;
+        clean_losses.push(clean);
+        states.push(state);
     }
     let clean_rmi_loss = clean_losses.iter().sum::<f64>() / num_models as f64;
 
-    // CHANGELOSS table: entry (i, dir) with dir 0 = "poison slot moves
-    // i → i+1" and dir 1 = "poison slot moves i+1 → i".
-    let mut table: Vec<[Option<ExchangeEval>; 2]> =
-        vec![[None, None]; num_models.saturating_sub(1)];
-    for i in 0..num_models.saturating_sub(1) {
-        table[i][0] = eval_exchange(keys, &states, i, true, threshold)?;
-        table[i][1] = eval_exchange(keys, &states, i, false, threshold)?;
-    }
+    // CHANGELOSS table, one job per boundary: entry (i, dir) with dir 0 =
+    // "poison slot moves i → i+1" and dir 1 = "poison slot moves i+1 → i".
+    let boundaries = num_models - 1;
+    let shared_states = Arc::new(states);
+    let (keys, table_states) = (Arc::clone(&shared_keys), Arc::clone(&shared_states));
+    let entries = par::map_chunks(
+        boundaries,
+        par::effective_workers(threads, boundaries),
+        move |range| {
+            range
+                .map(|i| -> Result<[Option<ExchangeEval>; 2]> {
+                    Ok([
+                        eval_exchange(&keys, &table_states, i, true, threshold)?,
+                        eval_exchange(&keys, &table_states, i, false, threshold)?,
+                    ])
+                })
+                .collect()
+        },
+    );
+    let mut states = Arc::try_unwrap(shared_states).expect("fan-out released the states");
+    let mut table: Vec<[Option<ExchangeEval>; 2]> = entries.into_iter().collect::<Result<_>>()?;
+    let keys = &shared_keys[..];
 
     let mut exchanges = 0usize;
     while exchanges < cfg.max_exchanges {
@@ -492,6 +548,82 @@ mod tests {
             "10% {} should beat 1% {}",
             high.poisoned_rmi_loss,
             low.poisoned_rmi_loss
+        );
+    }
+
+    /// Every field of two results, losses compared bit for bit.
+    fn assert_bit_identical(a: &RmiAttackResult, b: &RmiAttackResult, what: &str) {
+        assert_eq!(a.models.len(), b.models.len(), "{what}: model count");
+        for (i, (x, y)) in a.models.iter().zip(&b.models).enumerate() {
+            assert_eq!(x.legit, y.legit, "{what}: model {i} legit");
+            assert_eq!(x.poison, y.poison, "{what}: model {i} poison");
+            assert_eq!(
+                x.poisoned_loss.to_bits(),
+                y.poisoned_loss.to_bits(),
+                "{what}: model {i} poisoned loss"
+            );
+            assert_eq!(
+                x.clean_loss.to_bits(),
+                y.clean_loss.to_bits(),
+                "{what}: model {i} clean loss"
+            );
+        }
+        assert_eq!(
+            a.clean_rmi_loss.to_bits(),
+            b.clean_rmi_loss.to_bits(),
+            "{what}"
+        );
+        assert_eq!(
+            a.poisoned_rmi_loss.to_bits(),
+            b.poisoned_rmi_loss.to_bits(),
+            "{what}"
+        );
+        assert_eq!(a.exchanges_applied, b.exchanges_applied, "{what}");
+        assert_eq!(a.total_poison, b.total_poison, "{what}");
+    }
+
+    #[test]
+    fn fan_out_is_bit_identical_at_every_worker_count() {
+        // Keys 0..200 leave no free slot, so the head models saturate.
+        let dense_head = KeySet::from_keys(
+            (0..200u64)
+                .chain((1..=300u64).map(|i| 200 + i * i))
+                .collect(),
+        )
+        .unwrap();
+        let cases = [
+            // n % N = 6 and budget % N = 1.
+            ("uniform", uniform(503, 9), 7, RmiAttackConfig::new(10.0)),
+            // n % N = 8 and budget % N = 7.
+            ("skewed", skewed(611), 9, RmiAttackConfig::new(10.0)),
+            // One slot per model and t = 3: receivers fill up, donors empty.
+            ("dry", skewed(400), 40, RmiAttackConfig::new(10.0)),
+            ("dense head", dense_head, 10, RmiAttackConfig::new(10.0)),
+            // No boundary, so no CHANGELOSS entry.
+            ("one model", skewed(150), 1, RmiAttackConfig::new(10.0)),
+            (
+                "no exchanges",
+                skewed(300),
+                6,
+                RmiAttackConfig::new(10.0).with_max_exchanges(0),
+            ),
+        ];
+        for (name, ks, models, cfg) in &cases {
+            let serial = rmi_attack_on(ks, *models, cfg, 1).unwrap();
+            for threads in [0, 2, 3, models + 5] {
+                let fanned = rmi_attack_on(ks, *models, cfg, threads).unwrap();
+                assert_bit_identical(&serial, &fanned, &format!("{name}, {threads} threads"));
+            }
+        }
+        let dry = rmi_attack_on(&cases[2].1, 40, &cases[2].3, 1).unwrap();
+        assert!(dry.exchanges_applied > 0);
+        assert!(
+            dry.models.iter().any(|m| m.poison.is_empty()),
+            "no donor ran dry"
+        );
+        assert!(
+            dry.models.iter().any(|m| m.poison.len() == 3),
+            "no receiver hit t"
         );
     }
 
