@@ -21,7 +21,16 @@
 //!   keeps the first maximum in ascending key order. A candidate costs
 //!   four divides, the floor for losses bit-identical to
 //!   `lis_core::linreg::optimal_mse`; the campaign is `O(n + p·g)` for
-//!   `g` gaps;
+//!   `g` gaps. The scan runs in lock-step lanes
+//!   ([`lis_core::par::lockstep`]), one per `MIN_LANE_GAPS` gaps up to
+//!   one per CPU. The table is cut into contiguous parts of
+//!   `PART_GAPS` gaps; each step, every part that could hold the
+//!   step's maximum returns its first maximum, whichever lane scans it
+//!   (parts share the best loss reported so far, so the others stop
+//!   early), and the caller folds the parts in key order, so plans are
+//!   bit-identical at every lane count. A table under
+//!   `2 · MIN_LANE_GAPS` gaps, or a call from inside a fan-out
+//!   (Algorithm 2's per-leaf runs), scans on the caller as one part;
 //! * [`greedy_poison_lazy`] — the CELF-style lazy variant: candidates live
 //!   in a max-heap keyed by their most recent evaluation and are
 //!   re-evaluated only when they surface, taking the campaign toward
@@ -54,7 +63,9 @@ use crate::oracle::{IncrementalOracle, InsertScorer};
 use lis_core::error::{LisError, Result};
 use lis_core::keys::{Key, KeySet};
 use lis_core::linreg::{key_to_f64, signed_conversion_is_exact};
+use lis_core::par;
 use std::collections::BinaryHeap;
+use std::sync::atomic::{AtomicU64, Ordering};
 
 /// Poisoning budget expressed the way the paper parameterizes experiments.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -187,26 +198,92 @@ pub fn greedy_poison(ks: &KeySet, budget: PoisonBudget) -> Result<GreedyPlan> {
 /// zero-copy entry point the RMI attack's per-leaf loops call (no interim
 /// [`KeySet`] construction).
 pub fn greedy_poison_sorted(keys: &[Key], budget: PoisonBudget) -> Result<GreedyPlan> {
+    greedy_exact_lanes(keys, budget, 0, PART_GAPS)
+}
+
+/// Fewest gaps a scan lane is given: about 65 µs of scan per lane per
+/// step, well above the cost of handing a step to a lane and back.
+const MIN_LANE_GAPS: usize = 8192;
+
+/// Gaps in one part of a laned scan, the unit a lane claims: ~16 µs of
+/// scan, so a lane that falls behind holds the step up by little, while
+/// claiming a part costs well under 1 % of scanning it.
+const PART_GAPS: usize = 2048;
+
+/// The exact engine with its scan split over `lanes` lock-step lanes in
+/// parts of `part` gaps; `lanes` = 0 picks one lane per
+/// [`MIN_LANE_GAPS`] gaps, at most one per available CPU. Plans do not
+/// depend on either, and only the tests pass other values than
+/// `(0, PART_GAPS)`.
+fn greedy_exact_lanes(
+    keys: &[Key],
+    budget: PoisonBudget,
+    lanes: usize,
+    part: usize,
+) -> Result<GreedyPlan> {
     if keys.len() < 2 {
         return Err(LisError::DegenerateRegression { n: keys.len() });
     }
     if signed_conversion_is_exact(keys) {
-        greedy_exact::<true>(keys, budget)
+        greedy_exact::<true>(keys, budget, lanes, part)
     } else {
-        greedy_exact::<false>(keys, budget)
+        greedy_exact::<false>(keys, budget, lanes, part)
     }
 }
 
 /// The best endpoint a scan has seen so far.
+#[derive(Debug, Clone, Copy)]
 struct Best {
     loss: f64,
     /// Table index of its gap; `usize::MAX` until a live gap is scored.
     index: usize,
     key: Key,
+    /// Whether the key is its gap's low endpoint, so that what is left of
+    /// the gap lies above it.
+    left_above: bool,
 }
 
-/// The exact engine, with keys converted through [`key_to_f64`].
-fn greedy_exact<const SIGNED: bool>(keys: &[Key], budget: PoisonBudget) -> Result<GreedyPlan> {
+impl Best {
+    const NONE: Self = Self {
+        loss: f64::NEG_INFINITY,
+        index: usize::MAX,
+        key: 0,
+        left_above: false,
+    };
+}
+
+/// A key accepted by one greedy step, which the next step's scan folds
+/// into the table.
+#[derive(Debug, Clone, Copy)]
+struct Accepted {
+    /// Table index of its gap.
+    index: usize,
+    key: Key,
+    /// `gaps[..split]` lie above the key and `gaps[split..]` below it.
+    split: usize,
+    /// Its shifted value.
+    xp: f64,
+}
+
+/// What one greedy step hands the scan of every part.
+#[derive(Debug, Clone, Copy)]
+struct Step {
+    scorer: InsertScorer,
+    /// The previous step's accepted key; `None` on the first step.
+    last: Option<Accepted>,
+}
+
+/// The exact engine, with keys converted through [`key_to_f64`]. Each
+/// greedy step is one [`par::lockstep`] round: every part of the gap
+/// table is scanned with [`scan_part`], and the caller folds the parts'
+/// bests in ascending key order under the scan's strict `>`, which is
+/// the first maximum of the whole table.
+fn greedy_exact<const SIGNED: bool>(
+    keys: &[Key],
+    budget: PoisonBudget,
+    lanes: usize,
+    part: usize,
+) -> Result<GreedyPlan> {
     let mut oracle = IncrementalOracle::from_sorted_keys(keys);
     let clean_mse = oracle.clean_mse();
     let mut chosen = Vec::with_capacity(budget.count);
@@ -220,47 +297,120 @@ fn greedy_exact<const SIGNED: bool>(keys: &[Key], budget: PoisonBudget) -> Resul
     }
     let shift = oracle.shift();
     let mut gaps = gap_table::<SIGNED>(keys, shift);
-    // The previous step's accepted key, not yet folded into the table:
-    // `gaps[..split]` lie above it and `gaps[split..]` below it, and `xp`
-    // is its shifted value.
-    let mut pending: Option<(usize, f64)> = None;
-
-    for _ in 0..budget.count {
-        let scorer = oracle.insert_scorer();
-        let mut best = Best {
-            loss: f64::NEG_INFINITY,
-            index: usize::MAX,
-            key: 0,
-        };
-        // Ascending key order: the table's back (the low gaps) first.
-        match pending {
-            None => scan::<SIGNED>(&mut gaps, 0, &scorer, shift, |_| {}, &mut best),
-            Some((split, xp)) => {
-                let (above, below) = gaps.split_at_mut(split);
-                scan::<SIGNED>(below, split, &scorer, shift, |g| g.suffix += xp, &mut best);
-                scan::<SIGNED>(above, 0, &scorer, shift, |g| g.rank += 1.0, &mut best);
+    let lanes = match lanes {
+        0 => par::effective_workers(0, gaps.len() / MIN_LANE_GAPS),
+        lanes => lanes,
+    };
+    // The best loss any part has reported in the current step, as bits.
+    let floor = AtomicU64::new(0);
+    par::lockstep(
+        &mut gaps,
+        lanes,
+        part,
+        |part: &mut [Gap], offset, step: &Step| {
+            scan_part::<SIGNED>(part, offset, step, shift, &floor)
+        },
+        |steps| -> Result<()> {
+            #[cfg(test)]
+            tests::LANES.with(|n| n.set(steps.lanes()));
+            let mut last = None;
+            for _ in 0..budget.count {
+                let step = Step {
+                    scorer: oracle.insert_scorer(),
+                    last,
+                };
+                // The round's handover publishes this reset to every lane.
+                floor.store(0, Ordering::Relaxed);
+                // The first part holds the highest gaps: fold from the last.
+                let mut best = Best::NONE;
+                for part in steps.round(step).iter().rev() {
+                    if part.loss > best.loss {
+                        best = *part;
+                    }
+                }
+                if best.index == usize::MAX {
+                    break;
+                }
+                oracle.insert(best.key)?;
+                last = Some(Accepted {
+                    index: best.index,
+                    key: best.key,
+                    split: best.index + usize::from(best.left_above),
+                    xp: key_to_f64::<SIGNED>(best.key) - shift,
+                });
+                chosen.push(best.key);
+                losses.push(best.loss);
             }
-        }
-        if best.index == usize::MAX {
-            break;
-        }
-        let kp = best.key;
-        oracle.insert(kp)?;
-        let gap = &mut gaps[best.index];
-        // What is left of the winner's gap lies above `kp` exactly when
-        // `kp` was its low endpoint.
-        let left_above = kp == gap.lo;
-        gap.consume(kp);
-        let split = best.index + usize::from(left_above);
-        pending = Some((split, key_to_f64::<SIGNED>(kp) - shift));
-        chosen.push(kp);
-        losses.push(best.loss);
-    }
+            Ok(())
+        },
+    )?;
     Ok(GreedyPlan {
         keys: chosen,
         losses,
         clean_mse,
     })
+}
+
+/// One part of a greedy step's scan, over `part`, the table entries from
+/// index `offset` on: takes the previous step's key out of its gap if the
+/// part holds it, folds the key into every entry, and returns the part's
+/// first maximum in ascending key order among its candidates that reach
+/// `floor`, the best loss another part of this step has already reported.
+///
+/// `floor` is a loss some live candidate of this step has, so it is at
+/// most the step's maximum: a part whose maximum is below it cannot win,
+/// and whatever it returns is below the maximum too. The part holding the
+/// step's first maximum returns it exactly, so the fold's result does not
+/// depend on which parts saw which floor. Without the floor every part
+/// would walk its batches from `-inf` up, which cost a campaign at 200k
+/// keys ~15 % at 2,048 gaps per part.
+#[inline(always)]
+fn scan_part<const SIGNED: bool>(
+    part: &mut [Gap],
+    offset: usize,
+    step: &Step,
+    shift: f64,
+    floor: &AtomicU64,
+) -> Best {
+    let mut best = Best::NONE;
+    let reached = f64::from_bits(floor.load(Ordering::Relaxed));
+    let scorer = &step.scorer;
+    if let Some(last) = step.last {
+        if let Some(gap) = last.index.checked_sub(offset).and_then(|i| part.get_mut(i)) {
+            gap.consume(last.key);
+        }
+        // Ascending key order: the part's back (the gaps below the key)
+        // first.
+        let at = last.split.saturating_sub(offset).min(part.len());
+        let (above, below) = part.split_at_mut(at);
+        let xp = last.xp;
+        scan::<SIGNED>(
+            below,
+            offset + at,
+            scorer,
+            shift,
+            |g| g.suffix += xp,
+            reached,
+            &mut best,
+        );
+        scan::<SIGNED>(
+            above,
+            offset,
+            scorer,
+            shift,
+            |g| g.rank += 1.0,
+            reached,
+            &mut best,
+        );
+    } else {
+        scan::<SIGNED>(part, offset, scorer, shift, |_| {}, reached, &mut best);
+    }
+    // Losses are never negative, and the bits of positive floats order as
+    // the floats do.
+    if best.loss > 0.0 {
+        floor.fetch_max(best.loss.to_bits(), Ordering::Relaxed);
+    }
+    best
 }
 
 /// Gaps an exact scan scores per batch. A batch's losses go to a stack
@@ -269,11 +419,12 @@ fn greedy_exact<const SIGNED: bool>(keys: &[Key], budget: PoisonBudget) -> Resul
 /// beats the running best is walked again, in key order.
 const SCAN_BATCH: usize = 64;
 
-/// One part of an exact step's scan over `region`, the table entries
+/// One region of an exact step's scan over `region`, the table entries
 /// from index `offset` on: applies `update` to every entry, scores every
 /// live gap's two endpoints, and folds them into `best` in ascending key
 /// order (the table is descending, so back to front) under the strict
-/// `>`, so ties keep the lowest key.
+/// `>`, so ties keep the lowest key. A batch whose losses are all below
+/// `floor` is not walked.
 #[inline(always)]
 fn scan<const SIGNED: bool>(
     region: &mut [Gap],
@@ -281,6 +432,7 @@ fn scan<const SIGNED: bool>(
     scorer: &InsertScorer,
     shift: f64,
     update: impl Fn(&mut Gap),
+    floor: f64,
     best: &mut Best,
 ) {
     let mut losses = [[0.0; 2]; SCAN_BATCH];
@@ -301,7 +453,8 @@ fn scan<const SIGNED: bool>(
                 }
             }
         }
-        if top[0] <= best.loss && top[1] <= best.loss {
+        let idle = |top: f64| top <= best.loss || top < floor;
+        if idle(top[0]) && idle(top[1]) {
             continue;
         }
         for (i, (gap, &[lo_loss, hi_loss])) in batch.iter().zip(&losses).enumerate().rev() {
@@ -313,6 +466,7 @@ fn scan<const SIGNED: bool>(
                     loss: lo_loss,
                     index: offset + start + i,
                     key: gap.lo,
+                    left_above: true,
                 };
             }
             // A one-key gap scores the same key twice; the strict `>`
@@ -322,6 +476,7 @@ fn scan<const SIGNED: bool>(
                     loss: hi_loss,
                     index: offset + start + i,
                     key: gap.hi,
+                    left_above: false,
                 };
             }
         }
@@ -587,6 +742,8 @@ mod tests {
         /// `best_endpoint` calls on this thread: every gap evaluation the
         /// lazy engine makes after its initial heap fill.
         pub(super) static REFRESHES: Cell<usize> = const { Cell::new(0) };
+        /// Scan lanes of the exact engine's latest campaign on this thread.
+        pub(super) static LANES: Cell<usize> = const { Cell::new(0) };
     }
 
     fn uniform(n: u64, step: u64) -> KeySet {
@@ -740,13 +897,46 @@ mod tests {
             let (keys, many) = shaped_keys(shape, n, &mut TestRng::new(seed));
             prop_assume!(keys.len() >= 2);
             let budget = PoisonBudget::keys([0, 1, many][budget]);
-            let fused = greedy_poison_sorted(&keys, budget).unwrap();
             let unfused = greedy_poison_unfused(&keys, budget).unwrap();
-            prop_assert_eq!(&fused.keys, &unfused.keys, "shape {} keys {:?}", shape, keys);
-            prop_assert_eq!(fused.clean_mse.to_bits(), unfused.clean_mse.to_bits());
             let bits = |plan: &GreedyPlan| plan.losses.iter().map(|l| l.to_bits()).collect::<Vec<_>>();
-            prop_assert_eq!(bits(&fused), bits(&unfused), "shape {}", shape);
+            // One lane, two, three, and more lanes than gaps, over parts of
+            // one gap and of a few.
+            for lanes in [1, 2, 3, keys.len() + 1] {
+                for part in [1, 5] {
+                    let fused = greedy_exact_lanes(&keys, budget, lanes, part).unwrap();
+                    prop_assert_eq!(&fused.keys, &unfused.keys, "shape {} lanes {} part {} keys {:?}", shape, lanes, part, keys);
+                    prop_assert_eq!(fused.clean_mse.to_bits(), unfused.clean_mse.to_bits());
+                    prop_assert_eq!(bits(&fused), bits(&unfused), "shape {} lanes {} part {}", shape, lanes, part);
+                }
+            }
         }
+    }
+
+    #[test]
+    fn public_engine_engages_lanes_with_bit_identical_plans() {
+        // Jittered keys at density ~0.1: every neighbour pair leaves a gap,
+        // so the table has more than 2 · MIN_LANE_GAPS gaps and the public
+        // entry point splits its scan wherever there is a second CPU.
+        let keys: Vec<Key> = (0..2 * MIN_LANE_GAPS as u64 + 4_000)
+            .map(|i| i * 10 + (i.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 61))
+            .collect();
+        let ks = KeySet::from_keys(keys).unwrap();
+        let budget = PoisonBudget::keys(24);
+        let laned = greedy_poison(&ks, budget).unwrap();
+        let lanes = LANES.with(Cell::get);
+        let gaps = ks.len() - 1;
+        assert!(gaps >= 2 * MIN_LANE_GAPS);
+        assert_eq!(lanes, par::effective_workers(0, gaps / MIN_LANE_GAPS));
+        if par::available_workers() > 1 {
+            assert!(lanes > 1, "{lanes} lane(s) on {gaps} gaps");
+        }
+        let serial = greedy_exact_lanes(ks.keys(), budget, 1, PART_GAPS).unwrap();
+        assert_eq!(LANES.with(Cell::get), 1);
+        assert_eq!(laned.keys, serial.keys);
+        let bits = |plan: &GreedyPlan| plan.losses.iter().map(|l| l.to_bits()).collect::<Vec<_>>();
+        assert_eq!(bits(&laned), bits(&serial));
+        assert_eq!(laned.clean_mse.to_bits(), serial.clean_mse.to_bits());
+        assert_eq!(laned.keys.len(), budget.count);
     }
 
     #[test]

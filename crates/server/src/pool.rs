@@ -116,7 +116,12 @@ impl PoolShared {
     /// is gone and call sites can `Arc::try_unwrap` their captures.
     fn execute(&self, unit: Unit) {
         let Unit { task, idx, run } = unit;
-        let outcome = std::panic::catch_unwind(AssertUnwindSafe(|| task.run(idx)));
+        let outcome = std::panic::catch_unwind(AssertUnwindSafe(|| {
+            // A unit is a fan-out worker while it runs, so a lock-step scan
+            // inside it stays on its thread instead of spawning lanes.
+            let _fanout = par::enter_fanout_worker();
+            task.run(idx)
+        }));
         drop(task);
         if outcome.is_err() {
             run.panicked.store(true, Ordering::Release);
@@ -445,6 +450,33 @@ mod tests {
         for c in &Arc::into_inner(count).expect("task clones leaked").0 {
             assert_eq!(c.load(StdOrdering::Relaxed), 1);
         }
+        pool.shutdown();
+    }
+
+    #[test]
+    fn pooled_units_run_as_fanout_workers() {
+        struct Marked(Vec<StdAtomicUsize>);
+        impl FanoutTask for Marked {
+            fn run(&self, idx: usize) {
+                if par::in_fanout_worker() {
+                    self.0[idx].fetch_add(1, StdOrdering::Relaxed);
+                }
+            }
+        }
+        let pool = WorkerPool::new(2);
+        let task = Arc::new(Marked((0..6).map(|_| StdAtomicUsize::new(0)).collect()));
+        let shared: Arc<dyn FanoutTask> = Arc::clone(&task) as Arc<dyn FanoutTask>;
+        pool.run(&shared, 6);
+        drop(shared);
+        for (i, c) in Arc::into_inner(task)
+            .expect("task clones leaked")
+            .0
+            .iter()
+            .enumerate()
+        {
+            assert_eq!(c.load(StdOrdering::Relaxed), 1, "unit {i} ran unmarked");
+        }
+        assert!(!par::in_fanout_worker(), "marking leaked to the submitter");
         pool.shutdown();
     }
 
