@@ -195,3 +195,43 @@ fn duplicate_insert_mid_record_is_corruption_naming_lsn_and_op() {
         );
     }
 }
+
+/// Every single-bit flip anywhere in a snapshot file, and every cut of it
+/// to a shorter length, is refused as corruption: never an `Io` error
+/// (which a caller would retry), never a panic, never a keyset.
+#[test]
+fn every_bit_flip_and_truncation_of_a_snapshot_is_corruption() {
+    let domain = KeyDomain::new(0, 1_000_000).expect("valid domain");
+    for n in [1u64, 64] {
+        let keyset = KeySet::new((0..n).map(|i| i * 15_013 + 2).collect(), domain).expect("keyset");
+        let dir = scratch("snap-damage");
+        drop(bootstrap(dir.path(), &keyset));
+        let snap = std::fs::read_dir(dir.path())
+            .expect("read durable dir")
+            .flatten()
+            .map(|entry| entry.path())
+            .find(|path| path.extension().is_some_and(|ext| ext == "snap"))
+            .expect("bootstrap snapshot");
+        let pristine = std::fs::read(&snap).expect("read snapshot");
+        assert_eq!(recover(dir.path()).expect("pristine").keyset, keyset);
+
+        let damaged = (0..pristine.len() * 8)
+            .map(|bit| {
+                let mut bytes = pristine.clone();
+                bytes[bit / 8] ^= 1 << (bit % 8);
+                (format!("bit {bit} flipped"), bytes)
+            })
+            .chain(
+                (0..pristine.len())
+                    .map(|len| (format!("cut to {len} bytes"), pristine[..len].to_vec())),
+            );
+        for (what, bytes) in damaged {
+            std::fs::write(&snap, &bytes).expect("write damaged snapshot");
+            match recover(dir.path()) {
+                Err(LisError::Corruption { .. }) => {}
+                Err(other) => panic!("{n} keys, {what}: expected Corruption, got {other}"),
+                Ok(rec) => panic!("{n} keys, {what}: recovered {} keys", rec.keyset.len()),
+            }
+        }
+    }
+}
