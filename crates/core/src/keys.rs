@@ -78,6 +78,16 @@ impl fmt::Display for KeyDomain {
     }
 }
 
+/// `keys` sorted and deduplicated, unless one scan finds them strictly
+/// ascending already.
+fn strictly_ascending(mut keys: Vec<Key>) -> Vec<Key> {
+    if !keys.windows(2).all(|w| w[0] < w[1]) {
+        keys.sort_unstable();
+        keys.dedup();
+    }
+    keys
+}
+
 /// A maximal run of consecutive *unoccupied* keys between two occupied keys
 /// (or between an occupied key and a domain boundary).
 ///
@@ -142,15 +152,12 @@ impl KeySet {
     /// Keys are sorted and deduplicated. Errors if any key falls outside
     /// `domain` or if the resulting set is empty.
     ///
-    /// Already strictly-sorted input (workload generators on the dense
-    /// path, files written by `lis-cli generate`, partition slices) is
-    /// detected in one `O(n)` scan and skips the sort and dedup entirely —
-    /// the common build-plane case pays no re-sorting tax.
-    pub fn new(mut keys: Vec<Key>, domain: KeyDomain) -> Result<Self> {
-        if !keys.windows(2).all(|w| w[0] < w[1]) {
-            keys.sort_unstable();
-            keys.dedup();
-        }
+    /// Already strictly-sorted input (files written by `lis-cli generate`,
+    /// partition slices) is detected in one `O(n)` scan and skips the sort
+    /// and dedup entirely — the common build-plane case pays no re-sorting
+    /// tax.
+    pub fn new(keys: Vec<Key>, domain: KeyDomain) -> Result<Self> {
+        let keys = strictly_ascending(keys);
         if keys.is_empty() {
             return Err(LisError::EmptyKeySet);
         }
@@ -171,13 +178,18 @@ impl KeySet {
     }
 
     /// Builds a keyset whose domain is exactly `[min(keys), max(keys)]`.
+    ///
+    /// One pass over sorted input: the sortedness scan, after which the
+    /// first and last keys are the domain.
     pub fn from_keys(keys: Vec<Key>) -> Result<Self> {
-        if keys.is_empty() {
+        let keys = strictly_ascending(keys);
+        let (Some(&min), Some(&max)) = (keys.first(), keys.last()) else {
             return Err(LisError::EmptyKeySet);
-        }
-        let min = *keys.iter().min().unwrap();
-        let max = *keys.iter().max().unwrap();
-        Self::new(keys, KeyDomain { min, max })
+        };
+        Ok(Self {
+            keys: Arc::new(keys),
+            domain: KeyDomain { min, max },
+        })
     }
 
     /// Builds from keys that the caller guarantees are sorted and distinct.
@@ -684,6 +696,26 @@ mod tests {
     fn new_rejects_empty() {
         assert!(matches!(
             KeySet::new(vec![], KeyDomain::up_to(10)),
+            Err(LisError::EmptyKeySet)
+        ));
+    }
+
+    #[test]
+    fn from_keys_takes_its_domain_from_the_keys() {
+        let sorted = KeySet::from_keys(vec![3, 8, 20]).unwrap();
+        assert_eq!(sorted.keys(), &[3, 8, 20]);
+        assert_eq!(sorted.domain(), KeyDomain::new(3, 20).unwrap());
+
+        let unsorted = KeySet::from_keys(vec![9, 2, 9, 5, 2, 14]).unwrap();
+        assert_eq!(unsorted.keys(), &[2, 5, 9, 14]);
+        assert_eq!(unsorted.domain(), KeyDomain::new(2, 14).unwrap());
+
+        let single = KeySet::from_keys(vec![u64::MAX]).unwrap();
+        assert_eq!(single.keys(), &[u64::MAX]);
+        assert_eq!(single.domain(), KeyDomain::new(u64::MAX, u64::MAX).unwrap());
+
+        assert!(matches!(
+            KeySet::from_keys(vec![]),
             Err(LisError::EmptyKeySet)
         ));
     }

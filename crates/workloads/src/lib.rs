@@ -6,8 +6,8 @@
 //!   (Fig. 6) keysets with exact `(keys, density)` parameterization;
 //! * [`realsim`] — simulated stand-ins for the Miami-Dade salary and OSM
 //!   school-latitude datasets of Figure 7, calibrated to the published
-//!   n / key range / density / shape (see `DESIGN.md` for the substitution
-//!   rationale);
+//!   n / key range / density / shape (the [`realsim`] module docs give the
+//!   substitution rationale);
 //! * [`rng`] — deterministic per-trial RNG derivation and from-scratch
 //!   normal / log-normal samplers;
 //! * [`export`] — aligned console tables for reports and CLI output.

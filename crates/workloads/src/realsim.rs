@@ -13,8 +13,7 @@
 //! The attacks only consume the *CDF shape* of these datasets, so we
 //! synthesize generators calibrated to the published n, key range, density,
 //! and qualitative shape (salary mass concentrated in the mid range with a
-//! thin executive tail; latitudes banded around population belts). The
-//! substitution is documented in `DESIGN.md`.
+//! thin executive tail; latitudes banded around population belts).
 
 use crate::rng::{sample_lognormal, sample_normal, trial_rng};
 use crate::synthetic::sample_distinct;

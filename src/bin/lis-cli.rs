@@ -62,16 +62,16 @@ USAGE:
   lis-cli <command> [--flag value]...
 
 COMMANDS:
-  generate            sample a keyset and write it (one key per line)
+  generate            sample (or read) a keyset and write it, one key per line
       --dist D        uniform | normal | lognormal | miami | osm  [uniform]
       --keys N        number of keys                              [1000]
       --density F     keyset density in (0, 1]                    [0.1]
       --seed S        RNG seed                                    [42]
+      --in FILE       read keys, one per line, instead of sampling
       --out FILE      output path (default: stdout)
 
   pipeline            workload -> attack -> defense -> index sweep
       (generate flags except --out)
-      --in FILE       read keys, one per line, instead of sampling
       --index NAMES   comma-separated registry names       [rmi,btree]
       --attack A      none|greedy|rmi|rmi-dp|removal|mixed      [greedy]
       --defense D     none|trim|iqr|density                       [none]
@@ -132,7 +132,7 @@ struct Command {
 const COMMANDS: &[Command] = &[
     Command {
         name: "generate",
-        flags: "dist keys density seed out",
+        flags: "in dist keys density seed out",
         run: cmd_generate,
     },
     Command {
@@ -588,9 +588,14 @@ mod tests {
         cmd_generate(&flags).unwrap();
 
         let mut in_flags = Flags::new();
-        in_flags.insert("in".into(), path);
+        in_flags.insert("in".into(), path.clone());
         let ks = load_or_generate(&in_flags).unwrap();
         assert_eq!(ks.len(), 50);
+
+        // `generate --in` rewrites a key file unchanged.
+        let copy = dir.path().join("copy.txt").to_string_lossy().to_string();
+        assert_eq!(run(&s(&["generate", "--in", &path, "--out", &copy])), 0);
+        assert_eq!(std::fs::read(&path).unwrap(), std::fs::read(&copy).unwrap());
     }
 
     #[test]

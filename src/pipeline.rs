@@ -962,4 +962,62 @@ mod tests {
         assert_eq!(report.clean, ks);
         assert!(report.index("pla").unwrap().all_members_found);
     }
+
+    /// FNV-1a 64 over a keyset's keys, then its domain's bounds, each as
+    /// little-endian bytes.
+    fn keyset_digest(ks: &KeySet) -> u64 {
+        let domain = ks.domain();
+        let words = ks.keys().iter().copied().chain([domain.min, domain.max]);
+        words
+            .flat_map(|k| k.to_le_bytes())
+            .fold(0xcbf2_9ce4_8422_2325, |h, b| {
+                (h ^ u64::from(b)).wrapping_mul(0x100_0000_01b3)
+            })
+    }
+
+    #[test]
+    fn sampled_keysets_are_pinned_bit_for_bit() {
+        let cases = [
+            (
+                WorkloadSpec::Uniform {
+                    n: 1_000_000,
+                    density: 0.1,
+                },
+                4_694_371_759_472_904_749,
+            ),
+            (
+                WorkloadSpec::Normal {
+                    n: 100_000,
+                    density: 0.1,
+                },
+                14_845_769_649_835_727_378,
+            ),
+            (
+                WorkloadSpec::LogNormal {
+                    n: 10_000,
+                    density: 0.1,
+                },
+                16_760_607_686_243_860_999,
+            ),
+            (
+                WorkloadSpec::LogNormal {
+                    n: 100_000,
+                    density: 0.01,
+                },
+                7_278_560_522_842_235_842,
+            ),
+            (
+                WorkloadSpec::MiamiSalaries { n: 5_300 },
+                7_137_428_932_799_680_224,
+            ),
+            (
+                WorkloadSpec::OsmLatitudes { n: 302_973 },
+                18_077_917_597_631_175_638,
+            ),
+        ];
+        for (spec, pinned) in cases {
+            let ks = spec.sample(PINNED_SEED, 0).unwrap();
+            assert_eq!(keyset_digest(&ks), pinned, "{spec:?}");
+        }
+    }
 }
