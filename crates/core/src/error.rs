@@ -48,10 +48,6 @@ pub enum LisError {
     InvalidBudget(String),
     /// RMI configuration error (e.g. zero second-stage models).
     InvalidRmiConfig(String),
-    /// Neural-network configuration/training error.
-    InvalidNnConfig(String),
-    /// Record store lookup for a missing key.
-    RecordNotFound(Key),
     /// No index registered under the requested name.
     UnknownIndex {
         /// The name that failed to resolve.
@@ -136,8 +132,6 @@ impl fmt::Display for LisError {
             }
             Self::InvalidBudget(msg) => write!(f, "invalid poisoning budget: {msg}"),
             Self::InvalidRmiConfig(msg) => write!(f, "invalid RMI configuration: {msg}"),
-            Self::InvalidNnConfig(msg) => write!(f, "invalid NN configuration: {msg}"),
-            Self::RecordNotFound(k) => write!(f, "record for key {k} not found"),
             Self::UnknownIndex { name, available } => {
                 write!(f, "unknown index '{name}' (available: {available})")
             }

@@ -507,7 +507,7 @@ impl IndexRegistry {
         use crate::deep_rmi::{DeepRmi, DeepRmiConfig};
         use crate::hashindex::{HashIndex, HashIndexConfig, HashKind};
         use crate::pla::{PlaConfig, PlaIndex};
-        use crate::rmi::{Rmi, RmiConfig, RootModelKind, Routing};
+        use crate::rmi::{Rmi, RmiConfig, Routing};
 
         /// Second-stage model count for ~100 keys per model.
         fn leaves_for(ks: &KeySet) -> usize {
@@ -525,7 +525,6 @@ impl IndexRegistry {
             |ks| {
                 let cfg = RmiConfig {
                     num_leaves: leaves_for(ks),
-                    root: RootModelKind::Linear,
                     routing: Routing::Root,
                 };
                 Ok(DynIndex::new("rmi-root", Rmi::build(ks, &cfg)?))

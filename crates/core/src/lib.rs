@@ -12,10 +12,9 @@
 //! * [`stats`] — numerically robust sample moments over CDF pairs;
 //! * [`linreg`] — the closed-form linear regression on CDFs (Theorem 1),
 //!   the second-stage building block of the RMI;
-//! * [`cubic`] / [`nn`] — richer root models (cubic least squares and a
-//!   from-scratch MLP);
-//! * [`rmi`] — the two-stage Recursive Model Index with equal-size
-//!   partitions, oracle or root-predicted routing, and last-mile search;
+//! * [`rmi`] — the two-stage Recursive Model Index with a linear root,
+//!   equal-size partitions, oracle or root-predicted routing, and
+//!   last-mile search;
 //! * [`index`] — the unified [`LearnedIndex`] trait, the shared [`Lookup`]
 //!   result, the object-safe [`DynIndex`] wrapper, and the string-keyed
 //!   [`IndexRegistry`] every harness builds victims through;
@@ -30,7 +29,6 @@
 //!   shares (contiguous chunks, capped workers, bit-identical output
 //!   regardless of thread count);
 //! * [`btree`] — a bulk-loaded B+-tree baseline for lookup comparisons;
-//! * [`store`] — the dense sorted record array with logical paging;
 //! * [`metrics`] — Ratio Loss and the reporting types behind the paper's
 //!   figures.
 //!
@@ -52,7 +50,6 @@
 pub mod alex;
 pub mod bloom;
 pub mod btree;
-pub mod cubic;
 pub mod deep_rmi;
 pub mod error;
 pub mod hashindex;
@@ -60,7 +57,6 @@ pub mod index;
 pub mod keys;
 pub mod linreg;
 pub mod metrics;
-pub mod nn;
 pub mod par;
 pub mod pla;
 pub mod rmi;
@@ -68,7 +64,6 @@ pub mod scratch;
 pub mod search;
 pub mod shard;
 pub mod stats;
-pub mod store;
 
 pub use error::{LisError, Result};
 pub use index::{DynIndex, ErasedIndex, IndexRegistry, LearnedIndex, Lookup};

@@ -1,7 +1,7 @@
 //! The two-stage Recursive Model Index (Section III-A, Figure 1).
 //!
 //! The architecture that Kraska et al. showed to outperform B-Trees — and
-//! the one the paper attacks — is a two-stage tree: a single *root* model
+//! the one the paper attacks — is a two-stage tree: a linear *root* model
 //! approximating the coarse shape of the CDF, and `N` second-stage linear
 //! regressions, each the "expert" for one of `N` contiguous, equal-size
 //! partitions of the keyset.
@@ -15,51 +15,20 @@
 //!   always point to the correct (albeit poisoned) second-stage model",
 //!   Section V): leaves are selected by binary search on partition
 //!   boundaries, so routing is exact by construction.
+//!
+//! Under oracle routing the root never selects a leaf, and the equal-rank
+//! partition the attack reasons about does not depend on it, so a linear
+//! root is the only root family built.
 
-use crate::cubic::CubicModel;
 use crate::error::{LisError, Result};
 use crate::index::{LearnedIndex, Lookup};
 use crate::keys::{Key, KeySet};
 use crate::linreg::{fit_sorted_slice, LinearModel};
-use crate::nn::{NeuralNet, NnConfig};
 use crate::par;
 use crate::scratch::ScratchPool;
 use crate::search::bounded_search_with_fallback;
 use crate::stats::{midpoint_shift, CdfMoments};
 use std::sync::Arc;
-
-/// Which model family serves as the RMI root.
-#[derive(Debug, Clone)]
-pub enum RootModelKind {
-    /// Linear regression root — cheapest, fine for near-uniform data.
-    Linear,
-    /// Cubic least-squares root — captures moderate skew.
-    Cubic,
-    /// From-scratch MLP root, the architecture of the original LIS paper.
-    Neural(NnConfig),
-}
-
-/// A trained root model.
-#[derive(Debug, Clone)]
-pub enum RootModel {
-    /// Fitted linear root.
-    Linear(LinearModel),
-    /// Fitted cubic root.
-    Cubic(CubicModel),
-    /// Fitted neural-network root.
-    Neural(NeuralNet),
-}
-
-impl RootModel {
-    /// Predicted fractional rank of `key` over the full keyset.
-    pub fn predict(&self, key: Key) -> f64 {
-        match self {
-            Self::Linear(m) => m.predict(key),
-            Self::Cubic(m) => m.predict(key),
-            Self::Neural(m) => m.predict(key),
-        }
-    }
-}
 
 /// Leaf selection strategy at query time.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -75,28 +44,15 @@ pub enum Routing {
 pub struct RmiConfig {
     /// Number of second-stage models `N` (the fanout).
     pub num_leaves: usize,
-    /// Root model family.
-    pub root: RootModelKind,
     /// Query-time leaf selection.
     pub routing: Routing,
 }
 
 impl RmiConfig {
-    /// Paper-style config: `N` leaves, neural root, oracle routing.
-    pub fn paper(num_leaves: usize) -> Self {
-        Self {
-            num_leaves,
-            root: RootModelKind::Neural(NnConfig::default()),
-            routing: Routing::Oracle,
-        }
-    }
-
-    /// Cheap config for experiments where only second-stage losses matter:
-    /// linear root, oracle routing.
+    /// The paper's victim: `N` leaves under oracle routing.
     pub fn linear_root(num_leaves: usize) -> Self {
         Self {
             num_leaves,
-            root: RootModelKind::Linear,
             routing: Routing::Oracle,
         }
     }
@@ -108,7 +64,7 @@ impl RmiConfig {
 ///
 /// This is the *inspection view* of a leaf — attacks and tests reason
 /// about whole leaves. The index itself stores leaves flattened into
-/// parallel arrays (see [`LeafTable`]) so the lookup hot path streams
+/// parallel arrays (see `LeafTable`) so the lookup hot path streams
 /// through contiguous slope/intercept/offset/error memory instead of
 /// chasing struct padding.
 #[derive(Debug, Clone, PartialEq)]
@@ -184,7 +140,7 @@ impl LeafTable {
 /// A trained two-stage recursive model index.
 #[derive(Debug, Clone)]
 pub struct Rmi {
-    root: RootModel,
+    root: LinearModel,
     table: LeafTable,
     /// First key of each partition, for oracle routing.
     boundaries: Vec<Key>,
@@ -213,12 +169,11 @@ impl Rmi {
     /// worker count only decides which thread fits which contiguous run
     /// of leaves (`tests/property_buildpath.rs` pins this exactly).
     ///
-    /// A linear root is not refitted over the keys at all: the leaf fits
+    /// The linear root is not refitted over the keys at all: the leaf fits
     /// already produced every partition's [`CdfMoments`], and the global
     /// regression's moments are their rebased sum
     /// ([`CdfMoments::rebase`]/[`CdfMoments::merge`]) — `O(N)` instead of
-    /// an `O(n)` second pass. Cubic and neural roots keep their own
-    /// training passes.
+    /// an `O(n)` second pass.
     pub fn build_with_threads(ks: &KeySet, cfg: &RmiConfig, threads: usize) -> Result<Self> {
         if cfg.num_leaves == 0 {
             return Err(LisError::InvalidRmiConfig("num_leaves must be > 0".into()));
@@ -268,24 +223,16 @@ impl Rmi {
             table.push(&leaf.model, bound.start, bound.len(), leaf.max_err);
         }
 
-        let root = match &cfg.root {
-            RootModelKind::Linear => {
-                let shift = midpoint_shift(ks.min_key(), ks.max_key());
-                let mut acc: Option<CdfMoments> = None;
-                for (bound, leaf) in bounds.iter().zip(&fitted) {
-                    let lifted = leaf.moments.rebase(shift, bound.start);
-                    acc = Some(match acc {
-                        None => lifted,
-                        Some(m) => m.merge(&lifted),
-                    });
-                }
-                RootModel::Linear(LinearModel::from_moments(
-                    &acc.expect("num_leaves > 0 was validated"),
-                ))
-            }
-            RootModelKind::Cubic => RootModel::Cubic(CubicModel::fit(ks)?),
-            RootModelKind::Neural(nn_cfg) => RootModel::Neural(NeuralNet::fit(ks, nn_cfg)?),
-        };
+        let shift = midpoint_shift(ks.min_key(), ks.max_key());
+        let mut acc: Option<CdfMoments> = None;
+        for (bound, leaf) in bounds.iter().zip(&fitted) {
+            let lifted = leaf.moments.rebase(shift, bound.start);
+            acc = Some(match acc {
+                None => lifted,
+                Some(m) => m.merge(&lifted),
+            });
+        }
+        let root = LinearModel::from_moments(&acc.expect("num_leaves > 0 was validated"));
 
         Ok(Self {
             root,
@@ -317,11 +264,7 @@ impl Rmi {
         }
         let partitions = ks.partition(cfg.num_leaves)?;
 
-        let root = match &cfg.root {
-            RootModelKind::Linear => RootModel::Linear(LinearModel::fit(ks)?),
-            RootModelKind::Cubic => RootModel::Cubic(CubicModel::fit(ks)?),
-            RootModelKind::Neural(nn_cfg) => RootModel::Neural(NeuralNet::fit(ks, nn_cfg)?),
-        };
+        let root = LinearModel::fit(ks)?;
 
         let mut table = LeafTable::default();
         let mut boundaries = Vec::with_capacity(partitions.len());
@@ -365,8 +308,8 @@ impl Rmi {
         (0..self.table.len()).map(|i| self.table.view(i)).collect()
     }
 
-    /// The trained root model.
-    pub fn root(&self) -> &RootModel {
+    /// The trained linear root model.
+    pub fn root(&self) -> &LinearModel {
         &self.root
     }
 
@@ -587,16 +530,17 @@ mod tests {
 
     #[test]
     fn all_keys_found_root_routing() {
-        let ks = uniform_keys(500, 7);
-        let cfg = RmiConfig {
-            num_leaves: 25,
-            root: RootModelKind::Linear,
-            routing: Routing::Root,
-        };
-        let rmi = Rmi::build(&ks, &cfg).unwrap();
-        for (i, &k) in ks.keys().iter().enumerate() {
-            let res = rmi.lookup(k);
-            assert_eq!(res.pos, Some(i), "key {k}");
+        let skewed = KeySet::from_keys((1..500u64).map(|i| i * i).collect()).unwrap();
+        for ks in [uniform_keys(500, 7), skewed] {
+            let cfg = RmiConfig {
+                num_leaves: 25,
+                routing: Routing::Root,
+            };
+            let rmi = Rmi::build(&ks, &cfg).unwrap();
+            for (i, &k) in ks.keys().iter().enumerate() {
+                let res = rmi.lookup(k);
+                assert_eq!(res.pos, Some(i), "key {k}");
+            }
         }
     }
 
@@ -645,37 +589,6 @@ mod tests {
     }
 
     #[test]
-    fn neural_root_lookup_works() {
-        let ks = uniform_keys(300, 11);
-        let cfg = RmiConfig {
-            num_leaves: 10,
-            root: RootModelKind::Neural(NnConfig {
-                epochs: 30,
-                ..NnConfig::default()
-            }),
-            routing: Routing::Root,
-        };
-        let rmi = Rmi::build(&ks, &cfg).unwrap();
-        for (i, &k) in ks.keys().iter().enumerate().step_by(17) {
-            assert_eq!(rmi.lookup(k).pos, Some(i));
-        }
-    }
-
-    #[test]
-    fn cubic_root_lookup_works() {
-        let ks = KeySet::from_keys((1..500u64).map(|i| i * i).collect()).unwrap();
-        let cfg = RmiConfig {
-            num_leaves: 16,
-            root: RootModelKind::Cubic,
-            routing: Routing::Root,
-        };
-        let rmi = Rmi::build(&ks, &cfg).unwrap();
-        for (i, &k) in ks.keys().iter().enumerate().step_by(13) {
-            assert_eq!(rmi.lookup(k).pos, Some(i));
-        }
-    }
-
-    #[test]
     fn rmi_loss_of_matches_built_index() {
         let ks = KeySet::from_keys((1..800u64).map(|i| i * i / 2 + i).collect()).unwrap();
         let rmi = Rmi::build(&ks, &RmiConfig::linear_root(8)).unwrap();
@@ -720,7 +633,6 @@ mod tests {
             let ks = KeySet::from_keys((1..3000u64).map(|i| i * i / 5 + i).collect()).unwrap();
             let cfg = RmiConfig {
                 num_leaves: 37,
-                root: RootModelKind::Linear,
                 routing,
             };
             let serial = Rmi::build_with_threads(&ks, &cfg, 1).unwrap();
@@ -733,12 +645,9 @@ mod tests {
                     "{threads} threads"
                 );
                 assert_eq!(serial.boundaries, parallel.boundaries);
-                if let (RootModel::Linear(a), RootModel::Linear(b)) =
-                    (serial.root(), parallel.root())
-                {
-                    assert_eq!(a.w.to_bits(), b.w.to_bits());
-                    assert_eq!(a.b.to_bits(), b.b.to_bits());
-                }
+                let (a, b) = (serial.root(), parallel.root());
+                assert_eq!(a.w.to_bits(), b.w.to_bits());
+                assert_eq!(a.b.to_bits(), b.b.to_bits());
                 for &k in ks.keys().iter().step_by(13) {
                     assert_eq!(serial.lookup(k), parallel.lookup(k), "key {k}");
                 }
@@ -761,10 +670,7 @@ mod tests {
                 optimized.rmi_loss().to_bits(),
                 reference.rmi_loss().to_bits()
             );
-            let (RootModel::Linear(a), RootModel::Linear(b)) = (optimized.root(), reference.root())
-            else {
-                panic!("linear roots expected")
-            };
+            let (a, b) = (optimized.root(), reference.root());
             assert!(
                 (a.w - b.w).abs() <= 1e-9 * b.w.abs().max(1.0),
                 "{} vs {}",
@@ -791,7 +697,6 @@ mod tests {
             let ks = KeySet::from_keys((1..1200u64).map(|i| i * i / 3 + 2 * i).collect()).unwrap();
             let cfg = RmiConfig {
                 num_leaves: 24,
-                root: RootModelKind::Linear,
                 routing,
             };
             let rmi = Rmi::build(&ks, &cfg).unwrap();
@@ -840,7 +745,6 @@ mod tests {
         let ks = KeySet::from_keys((1..800u64).map(|i| i * i).collect()).unwrap();
         let cfg = RmiConfig {
             num_leaves: 16,
-            root: RootModelKind::Linear,
             routing: Routing::Root,
         };
         let rmi = Rmi::build(&ks, &cfg).unwrap();

@@ -120,7 +120,7 @@ pub struct Campaign {
 impl Campaign {
     /// Plans a campaign against a read snapshot of the victim keyset:
     /// one offline `rmi_attack` run fixes the per-model volume
-    /// allocation, then each model's budget becomes a [`Region`] with a
+    /// allocation, then each model's budget becomes a `Region` with a
     /// live oracle. Models allocated zero poison are skipped.
     pub fn plan(ks: &KeySet, cfg: &CampaignConfig) -> Result<Self> {
         let num_models = (ks.len() / cfg.model_size.max(1)).max(1);
@@ -161,7 +161,7 @@ impl Campaign {
     /// left, best-loss candidate within the region. A region whose every
     /// candidate is banned re-plans instead of forfeiting: its remaining
     /// budget moves to the regions that can still place keys (see
-    /// [`Campaign::redistribute`]). Returns `None` when the campaign is
+    /// `Campaign::redistribute`). Returns `None` when the campaign is
     /// spent (budget filled, every region exhausted, or attempt cap hit)
     /// — callers must later [`Campaign::ack`] every key taken.
     pub fn next_key(&mut self) -> Option<Key> {

@@ -18,7 +18,7 @@
 //!   (mean lookup cost after vs. before the campaign), defense recall,
 //!   and benign collateral, with the windowed time series from
 //!   [`ServeReport`](lis_server::ServeReport) — the data behind
-//!   `BENCH_online.json`.
+//!   `lis-cli serve-online`'s JSON report.
 //!
 //! [`IncrementalOracle`]: lis_poison::IncrementalOracle
 

@@ -212,7 +212,7 @@ struct Block {
 /// the `O(n)` oracle rebuild the old greedy loop performed.
 ///
 /// The keys themselves live in `~√n`-sized sorted blocks (see
-/// [`block_target`]; a classic sorted-list decomposition): rank and
+/// `block_target`; a classic sorted-list decomposition): rank and
 /// suffix-sum queries cost `O(√n)`, inserts and removals `O(√n)`
 /// amortized. Inserting a key updates the cross
 /// moment with the *compound effect* — every key above the insertion gains

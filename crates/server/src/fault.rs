@@ -30,11 +30,11 @@
 //! * **storage faults** (durable servers only) — process death before or
 //!   after the WAL append (`CrashBeforeAppend` / `CrashAfterAppend`), a
 //!   torn append (`TornWrite`), and silent media corruption (`BitFlip`).
-//!   The crash sites unwind with [`ProcessKill`]: the supervisor shuts
+//!   The crash sites unwind with `ProcessKill`: the supervisor shuts
 //!   the write plane down instead of restarting, modelling SIGKILL so
 //!   the chaos harness can exercise `durability::recover`.
 //!
-//! All counters and flags route through [`crate::sync`] so instrumented
+//! All counters and flags route through `crate::sync` so instrumented
 //! (`--features check`) builds stay schedulable; injected delays are
 //! plain `std::thread::sleep`s, each marked for the `no-prod-sleep` lint.
 //!

@@ -13,7 +13,7 @@
 //!   size, mean lookup cost);
 //! * [`histogram`] — the HDR-style log-linear [`LatencyHistogram`] behind
 //!   those percentiles;
-//! * [`write`] — the online write plane: [`WriteOp`] requests drain a
+//! * [`mod@write`] — the online write plane: [`WriteOp`] requests drain a
 //!   dedicated bounded queue into a writer thread that mutates the
 //!   authoritative keyset and publishes epoch-swapped snapshots (readers
 //!   never block on writers), screened by pluggable [`AdmissionPolicy`]

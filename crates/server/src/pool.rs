@@ -22,7 +22,7 @@
 //!   unit that submits a sub-fan-out drains it from inside the pool)
 //!   and keeps a single-worker pool deadlock-free by construction.
 //! * **Checked primitives** — every lock, condvar, and atomic comes
-//!   through the [`crate::sync`] facade, so `--features check` model
+//!   through the `crate::sync` facade, so `--features check` model
 //!   tests explore park/unpark, stealing, and shutdown interleavings
 //!   over the *real* pool code (see `model_tests`).
 //! * **Allocation-free steady state** — completion records are pooled

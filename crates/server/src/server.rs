@@ -15,11 +15,10 @@
 //! [`ServerBuilder::start_online`] additionally opens the **write plane**:
 //! a dedicated bounded write queue drains into one writer thread that owns
 //! the authoritative [`KeySet`]. Every drained write micro-batch is
-//! validated, screened by an
-//! [`AdmissionPolicy`](crate::write::AdmissionPolicy), staged, logged,
+//! validated, screened by an [`AdmissionPolicy`], staged, logged,
 //! merged into the keyset in one pass, rebuilt into a fresh index from the
-//! keyset, and published as one new epoch through the
-//! [`EpochSlot`](crate::epoch) — an `Arc` swap, so readers never block on
+//! keyset, and published as one new epoch through the `EpochSlot`
+//! (`crate::epoch`) — an `Arc` swap, so readers never block on
 //! writers and the lookup hot path stays lock-free between epochs. Every
 //! victim is trained on the keyset's CDF, so an epoch is a function of the
 //! keyset alone: online ≡ offline and recovered ≡ live hold bit for bit.
@@ -643,11 +642,11 @@ impl ServerBuilder {
     ///
     /// Per write micro-batch the writer validates each operation against
     /// the keyset and the batch's earlier accepted operations, consults
-    /// `admission` (see [`AdmissionPolicy`](crate::write::AdmissionPolicy))
+    /// `admission` (see [`AdmissionPolicy`])
     /// with the same view, merges the admitted ops into the keyset in one
     /// pass, and publishes one new epoch built from the keyset by `build`.
     /// Readers never block on any of this — publication is an `Arc` swap
-    /// (see [`crate::epoch`]). `build` runs once here for the starting
+    /// (see `crate::epoch`). `build` runs once here for the starting
     /// epoch, then once per published epoch.
     pub fn start_online<F>(
         self,

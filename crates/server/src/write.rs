@@ -6,7 +6,7 @@
 //! thread that owns the authoritative keyset. Each drained micro-batch is
 //! validated against the keyset, screened by an [`AdmissionPolicy`],
 //! merged, rebuilt into a fresh index, and published as one new epoch —
-//! see [`crate::epoch`] and `ServerBuilder::start_online`.
+//! see `crate::epoch` and `ServerBuilder::start_online`.
 //!
 //! Admission control is where online defenses plug in: a policy sees every
 //! candidate write together with its source id and a [`KeyView`] of the

@@ -5,8 +5,8 @@
 //! lis-cli generate --dist lognormal --keys 10000 --density 0.05 --out keys.txt
 //! lis-cli pipeline --dist lognormal --keys 5000 --attack rmi --defense trim --index rmi,btree
 //! lis-cli pipeline --attack none --in keys.txt --index rmi,btree,pla
-//! lis-cli serve-online --keys 20000 --requests 5000 --out BENCH_online.json
-//! lis-cli chaos --keys 100000 --scenario worker-panic --seed 7
+//! lis-cli serve-online --keys 20000 --requests 5000 --out online.json
+//! lis-cli chaos --keys 100000 --scenario worker-panic --seed 7 --out chaos.json
 //! lis-cli figures --scale smoke --only fig4,fig6
 //! lis-cli list-indexes
 //! ```
@@ -17,8 +17,8 @@
 //! resolved by name through the [`IndexRegistry`]; `list-indexes` prints
 //! what is available. Argument parsing is hand-rolled (the workspace
 //! intentionally carries no CLI dependency); every flag takes the form
-//! `--name value`, and a flag the command does not read, or one given
-//! twice, is a usage error.
+//! `--name value`, and a flag the command does not read, one given
+//! twice, or a required one left out, is a usage error.
 
 #![forbid(unsafe_code)]
 
@@ -92,7 +92,7 @@ COMMANDS:
       --readers R         concurrent benign reader threads             [2]
       --workers W         serving worker threads                       [2]
       --seed S            workload RNG seed                           [42]
-      --out FILE          JSON report path            [BENCH_online.json]
+      --out FILE          JSON report path                      (required)
 
   chaos               robustness ladder: seeded fault injection vs the live server
       --keys N            victim keyset size                      [100000]
@@ -108,7 +108,7 @@ COMMANDS:
                           (baseline | worker-panic | queue-saturation |
                            delayed-publish | writer-crash | rollback |
                            kill-recover | torn-tail)
-      --out FILE          JSON report path             [BENCH_chaos.json]
+      --out FILE          JSON report path                      (required)
 
   figures             the paper's figures and ablations, one pinned table
       --scale S           smoke (checks pinned values) | paper     [smoke]
@@ -120,12 +120,13 @@ COMMANDS:
 
 type Flags = HashMap<String, String>;
 
-/// One command: its name, the only flags it reads (space-separated), and
-/// its body.
+/// One command: its name, the only flags it reads (space-separated), the
+/// subset of them it cannot run without, and its body.
 #[derive(Debug)]
 struct Command {
     name: &'static str,
     flags: &'static str,
+    required: &'static str,
     run: fn(&Flags) -> Result<(), String>,
 }
 
@@ -133,42 +134,50 @@ const COMMANDS: &[Command] = &[
     Command {
         name: "generate",
         flags: "in dist keys density seed out",
+        required: "",
         run: cmd_generate,
     },
     Command {
         name: "pipeline",
         flags: "in dist keys density seed index attack defense poison-pct model-size alpha queries shards",
+        required: "",
         run: cmd_pipeline,
     },
     Command {
         name: "serve-online",
         flags: "keys density index poison-pct benign-writes requests readers workers seed out",
+        required: "out",
         run: cmd_serve_online,
     },
     Command {
         name: "chaos",
         flags: "keys density index requests writes clients workers seed poison-pct scenario out",
+        required: "out",
         run: cmd_chaos,
     },
     Command {
         name: "figures",
         flags: "scale only",
+        required: "",
         run: cmd_figures,
     },
     Command {
         name: "list-indexes",
         flags: "",
+        required: "",
         run: cmd_list_indexes,
     },
     Command {
         name: "help",
         flags: "",
+        required: "",
         run: cmd_help,
     },
 ];
 
 /// Splits `[command, --k v, --k v, ...]` and checks every flag against
-/// the command's own list, so a typo or a repeat fails before any work.
+/// the command's own lists, so a typo, a repeat or a missing required flag
+/// fails before any work.
 fn parse_args(args: &[String]) -> Result<(&'static Command, Flags), String> {
     let mut it = args.iter();
     let name = match it.next().map(String::as_str) {
@@ -194,6 +203,13 @@ fn parse_args(args: &[String]) -> Result<(&'static Command, Flags), String> {
         if flags.insert(flag.to_string(), value.clone()).is_some() {
             return Err(format!("{name}: --{flag} given more than once"));
         }
+    }
+    if let Some(missing) = command
+        .required
+        .split_whitespace()
+        .find(|f| !flags.contains_key(*f))
+    {
+        return Err(format!("{name}: --{missing} is required"));
     }
     Ok((command, flags))
 }
@@ -285,12 +301,10 @@ fn cmd_serve_online(flags: &Flags) -> Result<(), String> {
             s.serve.epochs
         );
     }
-    let out = flags
-        .get("out")
-        .cloned()
-        .unwrap_or_else(|| "BENCH_online.json".into());
+    // `parse_args` rejects a command line without `--out`.
+    let out = &flags["out"];
     report
-        .write_json(std::path::Path::new(&out))
+        .write_json(std::path::Path::new(out))
         .map_err(|e| format!("writing {out}: {e}"))?;
     println!("\nwrote {out}");
     let violations = report.violations();
@@ -362,12 +376,10 @@ fn cmd_chaos(flags: &Flags) -> Result<(), String> {
             println!("  {v}");
         }
     }
-    let out = flags
-        .get("out")
-        .cloned()
-        .unwrap_or_else(|| "BENCH_chaos.json".into());
+    // `parse_args` rejects a command line without `--out`.
+    let out = &flags["out"];
     report
-        .write_json(std::path::Path::new(&out))
+        .write_json(std::path::Path::new(out))
         .map_err(|e| format!("writing {out}: {e}"))?;
     println!("\nwrote {out}");
     if violations.is_empty() {
@@ -653,6 +665,9 @@ mod tests {
         assert!(json.contains("\"bench\": \"online_serving\""));
         assert!(json.contains("\"name\": \"undefended\""));
         assert!(json.contains("\"name\": \"defended:density\""));
+
+        // No default report path: a missing `--out` is a usage error.
+        assert_eq!(run(&s(&["serve-online", "--keys", "3000"])), 2);
     }
 
     #[test]
@@ -678,6 +693,9 @@ mod tests {
 
         flags.insert("scenario".into(), "nope".into());
         assert!(cmd_chaos(&flags).is_err());
+
+        // No default report path: a missing `--out` is a usage error.
+        assert_eq!(run(&s(&["chaos", "--scenario", "baseline"])), 2);
     }
 
     #[test]

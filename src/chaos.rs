@@ -22,7 +22,7 @@
 //! epoch), `writer-crash` (the writer dies with writes queued and
 //! rebuilds from the authoritative keyset), `rollback` (an
 //! Algorithm-2 poisoning campaign degrades serving cost until the
-//! [`CostDriftMonitor`](lis_defense::CostDriftMonitor) triggers epoch
+//! [`CostDriftMonitor`] triggers epoch
 //! rollback to the trusted checkpoint), `kill-recover` (a
 //! SIGKILL-equivalent storage fault drops the durable write plane
 //! mid-load; the server is shut down and *recovered from disk* into a
@@ -32,8 +32,8 @@
 //! mid-log bit flip is *refused* as corruption rather than replayed).
 //!
 //! Every schedule derives from one seed (`LIS_CHAOS_SEED` overrides it),
-//! so a failing ladder run reproduces exactly. The `chaos` bench commits
-//! the resulting `BENCH_chaos.json`; its gates (availability ≥ 99%, zero
+//! so a failing ladder run reproduces exactly. `lis-cli chaos` writes the
+//! resulting report as JSON; its gates (availability ≥ 99%, zero
 //! mismatches, bounded recovery, rollback restoring mean lookup cost to
 //! ≤ 1.01× the pre-campaign baseline) arm at full scale and are relaxed
 //! for CI smoke runs — see [`ChaosScenarioReport::violations`].

@@ -8,7 +8,7 @@
 //! [`pipeline`]:
 //!
 //! * [`core`] — the learned-index substrate (CDF regression, RMI,
-//!   B+-tree baseline, record store, metrics) and the unified
+//!   B+-tree baseline, metrics) and the unified
 //!   [`LearnedIndex`](lis_core::index::LearnedIndex) trait layer;
 //! * [`poison`] — the paper's attacks behind the
 //!   [`Attack`](lis_poison::Attack) trait (optimal single-point, greedy
@@ -21,13 +21,13 @@
 //!   the epoch-swapped write plane with pluggable admission control);
 //! * [`online`] — the online attack plane: live Algorithm-2 poisoning
 //!   campaigns through the serve path, plus the benign / undefended /
-//!   defended harness behind `BENCH_online.json`;
+//!   defended harness behind `lis-cli serve-online`;
 //! * [`pipeline`] — the workload → attack → defense → index → report
 //!   builder composing all of the above, measuring through [`server`];
 //! * [`chaos`] — the robustness ladder: deterministic fault injection
 //!   (see [`lis_server::fault`]) against the live server, scored on
 //!   availability, correctness under faults, recovery time, and
-//!   attack-triggered epoch rollback, producing `BENCH_chaos.json`;
+//!   attack-triggered epoch rollback, behind `lis-cli chaos`;
 //! * [`figures`] — the paper's figures and ablations as one table of
 //!   pinned, deterministic quantities behind `lis-cli figures`.
 //!

@@ -893,20 +893,20 @@ mod tests {
             report_bits(&rmi),
             [
                 "rmi clean=0x402a6098ead65b7a/16/3000 final=0x402c3596de8ca11c/18/3000 \
-                 loss=0x40197c6eac5754e6/0x403321bff1f307b0 mem=43128/47408 found=true",
+                 loss=0x40197c6eac5754e6/0x403321bff1f307b0 mem=43048/47328 found=true",
                 "btree clean=0x402b395810624dd3/16/3000 final=0x402b3645a1cac083/16/3000 \
                  loss=0x0/0x0 mem=43652/47960 found=true",
                 "pla clean=0x402806a7ef9db22d/18/3000 final=0x402803ece2a53491/18/3000 \
                  loss=0x4048283e425aee63/0x404aaa13bc3ad55d mem=40424/44904 found=true",
                 "sharded:rmi:8 clean=0x403172015d867c3f/21/3000 final=0x40322e6bdc805762/22/3000 \
-                 loss=0x401af2a75102df85/0x4035d388a17c7c70 mem=45440/49440 found=true",
+                 loss=0x401af2a75102df85/0x4035d388a17c7c70 mem=44800/48800 found=true",
             ]
         );
         assert_eq!(
             report_bits(&greedy),
             [
                 "rmi clean=0x4021953f7ced9168/14/2000 final=0x401d3c6a7ef9db23/18/2000 \
-                 loss=0x40134d94f9953946/0x4005fdc74d57895a mem=17448/17448 found=true",
+                 loss=0x40134d94f9953946/0x4005fdc74d57895a mem=17368/17368 found=true",
                 "btree clean=0x40264624dd2f1aa0/13/2000 final=0x402647ef9db22d0e/13/2000 \
                  loss=0x0/0x0 mem=17512/17512 found=true",
             ]

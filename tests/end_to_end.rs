@@ -7,7 +7,6 @@ use lis::prelude::*;
 use lis::workloads::{domain_for_density, lognormal_keys, trial_rng, uniform_keys};
 use lis_core::btree::BPlusTree;
 use lis_core::index::IndexRegistry;
-use lis_core::store::RecordStore;
 
 #[test]
 fn poisoned_index_still_answers_every_query() {
@@ -170,25 +169,6 @@ fn attack_effect_matches_metrics_report() {
 }
 
 #[test]
-fn record_store_serves_learned_positions() {
-    let mut rng = trial_rng(5, 0);
-    let domain = domain_for_density(1_000, 0.3).unwrap();
-    let clean = uniform_keys(&mut rng, 1_000, domain).unwrap();
-    let store = RecordStore::build(&clean, 32).unwrap();
-    let rmi = Rmi::build(&clean, &RmiConfig::linear_root(10)).unwrap();
-
-    for &k in clean.keys().iter().step_by(7) {
-        let pos = rmi.lookup(k).pos.unwrap();
-        let record = store.record_at(pos).unwrap();
-        assert_eq!(
-            &record[..8],
-            &k.to_le_bytes(),
-            "record payload mismatch for key {k}"
-        );
-    }
-}
-
-#[test]
 fn defense_pipeline_full_cycle() {
     let mut rng = trial_rng(6, 0);
     let domain = domain_for_density(800, 0.1).unwrap();
@@ -208,27 +188,6 @@ fn defense_pipeline_full_cycle() {
     let report = evaluate_defense(&clean, &plan.keys, &out.retained).unwrap();
     assert!(report.ratio_before() > 1.0);
     assert!((0.0..=1.0).contains(&report.poison_recall));
-}
-
-#[test]
-fn neural_root_rmi_end_to_end() {
-    // The paper's architecture: NN first stage. Verify lookups stay correct
-    // on skewed data with root-predicted routing.
-    let mut rng = trial_rng(7, 0);
-    let domain = domain_for_density(2_000, 0.05).unwrap();
-    let clean = lognormal_keys(&mut rng, 2_000, domain).unwrap();
-    let cfg = RmiConfig {
-        num_leaves: 20,
-        root: lis_core::rmi::RootModelKind::Neural(lis_core::nn::NnConfig {
-            epochs: 40,
-            ..Default::default()
-        }),
-        routing: Routing::Root,
-    };
-    let rmi = Rmi::build(&clean, &cfg).unwrap();
-    for (i, &k) in clean.keys().iter().enumerate().step_by(13) {
-        assert_eq!(rmi.lookup(k).pos, Some(i), "key {k}");
-    }
 }
 
 #[test]
