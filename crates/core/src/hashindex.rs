@@ -120,11 +120,6 @@ impl HashIndex {
         self.len == 0
     }
 
-    /// Number of buckets.
-    pub fn num_slots(&self) -> usize {
-        self.buckets.len()
-    }
-
     /// Looks up `key`; `cost` counts the chain elements inspected.
     pub fn lookup(&self, key: Key) -> Lookup {
         let bucket = &self.buckets[self.slot(key)];

@@ -21,17 +21,6 @@ pub fn ratio_loss(poisoned: f64, clean: f64) -> f64 {
     poisoned / clean.max(LOSS_EPSILON)
 }
 
-/// Fits linear regressions on both keysets and returns
-/// `(clean_mse, poisoned_mse, ratio)`.
-pub fn regression_ratio_loss(
-    clean: &KeySet,
-    poisoned: &KeySet,
-) -> crate::error::Result<(f64, f64, f64)> {
-    let clean_mse = LinearModel::fit(clean)?.mse;
-    let poisoned_mse = LinearModel::fit(poisoned)?.mse;
-    Ok((clean_mse, poisoned_mse, ratio_loss(poisoned_mse, clean_mse)))
-}
-
 /// Per-model and aggregate ratio losses for an RMI experiment (the contents
 /// of one boxplot + its black horizontal line in Figures 6–7).
 #[derive(Debug, Clone)]
@@ -130,20 +119,6 @@ mod tests {
     fn ratio_loss_guards_zero() {
         assert!(ratio_loss(1.0, 0.0).is_finite());
         assert_eq!(ratio_loss(4.0, 2.0), 2.0);
-    }
-
-    #[test]
-    fn regression_ratio_on_obvious_poison() {
-        // Clean: perfectly linear CDF. Poisoned: cluster destroys linearity.
-        let clean = KeySet::from_keys((0..50u64).map(|i| i * 20).collect()).unwrap();
-        let mut poisoned = clean.clone();
-        for k in 1..=5u64 {
-            poisoned.insert(k).unwrap();
-        }
-        let (lc, lp, ratio) = regression_ratio_loss(&clean, &poisoned).unwrap();
-        assert!(lc < 1e-9);
-        assert!(lp > 0.0);
-        assert!(ratio > 1.0);
     }
 
     #[test]

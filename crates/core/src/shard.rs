@@ -101,12 +101,6 @@ impl ShardConfig {
             build_shard: Arc::new(build_shard),
         }
     }
-
-    /// Overrides the worker-thread count (`0` = available parallelism).
-    pub fn with_threads(mut self, threads: usize) -> Self {
-        self.threads = threads;
-        self
-    }
 }
 
 impl std::fmt::Debug for ShardConfig {

@@ -53,9 +53,10 @@ impl CostDriftMonitor {
     /// flags any window whose mean cost exceeds the calibrated baseline
     /// by the factor `threshold`.
     ///
-    /// A threshold of `1.02` separates benign churn (~1.001× in the
-    /// online harness) from an undefended Algorithm-2 campaign (~1.1×)
-    /// with margin on both sides.
+    /// A threshold of `1.02` sits above benign churn, whose whole-run
+    /// drift on the scenario ladder's `benign` rung is ~0.99–1.00×; the
+    /// `rollback` rung shows the windows of an undefended Algorithm-2
+    /// campaign crossing it.
     pub fn new(threshold: f64, min_served: u64, calibration_windows: u32) -> Self {
         Self {
             threshold: threshold.max(1.0),

@@ -39,18 +39,6 @@ impl DefenseOutcome {
     pub fn evaluate(&self, clean: &KeySet, poison: &[Key]) -> Result<DefenseReport> {
         crate::eval::evaluate_defense(clean, poison, &self.retained)
     }
-
-    /// Scores this outcome against a general insert/delete campaign via
-    /// [`crate::eval::evaluate_defense_campaign`] — the variant to use when
-    /// the attacker may also have deleted legitimate keys.
-    pub fn evaluate_campaign(
-        &self,
-        clean: &KeySet,
-        inserted: &[Key],
-        attack_removed: &[Key],
-    ) -> Result<DefenseReport> {
-        crate::eval::evaluate_defense_campaign(clean, inserted, attack_removed, &self.retained)
-    }
 }
 
 /// A poisoning mitigation: suspect keyset in, trusted subset out. Object

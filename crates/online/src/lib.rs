@@ -12,13 +12,13 @@
 //!   (no rebuilds on the attacker's side), submitted through the same
 //!   [`ServerHandle`](lis_server::ServerHandle) as benign traffic, and
 //!   the campaign *adapts* when admission control rejects a key;
-//! * [`harness`] — [`run_online`] plays matched scenarios (benign
-//!   baseline, undefended campaign, admission-defended campaigns) against
-//!   the epoch-swapped write plane of `lis_server`, scoring serving drift
-//!   (mean lookup cost after vs. before the campaign), defense recall,
-//!   and benign collateral, with the windowed time series from
-//!   [`ServeReport`](lis_server::ServeReport) — the data behind
-//!   `lis-cli serve-online`'s JSON report.
+//! * [`run_campaign`] streams a campaign through a server handle, a
+//!   window of writes in flight at a time.
+//!
+//! The scenarios that score a campaign against the live server — benign
+//! churn, undefended, and admission-defended, measured on serving drift,
+//! defense recall and benign collateral — are rungs of the umbrella
+//! crate's scenario ladder (`lis::chaos`, `lis-cli chaos`).
 //!
 //! [`IncrementalOracle`]: lis_poison::IncrementalOracle
 
@@ -26,7 +26,5 @@
 #![forbid(unsafe_code)]
 
 pub mod campaign;
-pub mod harness;
 
 pub use campaign::{run_campaign, Campaign, CampaignConfig};
-pub use harness::{run_online, OnlineConfig, OnlineReport, ScenarioReport};

@@ -299,11 +299,6 @@ impl Durability {
         self
     }
 
-    /// `true` iff a directory is configured.
-    pub fn is_durable(&self) -> bool {
-        self.dir.is_some()
-    }
-
     /// The fault-schedule event counter the writer starts from.
     pub(crate) fn resume_flushes(&self) -> u64 {
         self.resume_flushes

@@ -38,8 +38,8 @@
 //! (`--features check`) builds stay schedulable; injected delays are
 //! plain `std::thread::sleep`s, each marked for the `no-prod-sleep` lint.
 //!
-//! The chaos harness (`lis::chaos`) reads the seed from `LIS_CHAOS_SEED`
-//! via [`seed_from_env`].
+//! The chaos ladder (`lis::chaos`) derives every schedule from the one
+//! seed in its config (`lis-cli chaos --seed`).
 
 use crate::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use lis_core::error::{LisError, Result};
@@ -404,15 +404,6 @@ pub(crate) struct InjectedFault;
 /// fresh server, exactly as an operator would after a real kill.
 pub(crate) struct ProcessKill;
 
-/// Reads the chaos seed from `LIS_CHAOS_SEED`, falling back to `default`
-/// when unset or unparsable.
-pub fn seed_from_env(default: u64) -> u64 {
-    std::env::var("LIS_CHAOS_SEED")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(default)
-}
-
 /// Bounded deterministic exponential backoff with jitter, shared by
 /// [`ServerHandle::lookup_retry`](crate::server::ServerHandle::lookup_retry)
 /// and [`ServerHandle::write_retry`](crate::server::ServerHandle::write_retry).
@@ -671,12 +662,5 @@ mod tests {
         });
         assert!(matches!(out, Err(LisError::Timeout(_))));
         assert_eq!(calls, 4, "retry budget not honored");
-    }
-
-    #[test]
-    fn env_seed_parses_with_fallback() {
-        // Only documents the fallback path; the env var is not set in
-        // unit tests (setting it would race other tests in this binary).
-        assert_eq!(seed_from_env(77), 77);
     }
 }

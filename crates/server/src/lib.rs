@@ -71,7 +71,7 @@ mod sync;
 pub mod write;
 
 pub use durability::{recover, Durability, DurabilityLevel, DurableStore, Recovered};
-pub use fault::{seed_from_env, FaultConfig, FaultInjector, FaultSite, RetryPolicy, FAULT_SITES};
+pub use fault::{FaultConfig, FaultInjector, FaultSite, RetryPolicy, FAULT_SITES};
 pub use histogram::LatencyHistogram;
 pub use queue::{BatchPolicy, BatchQueue, PopTick};
 pub use server::{

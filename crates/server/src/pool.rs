@@ -303,22 +303,11 @@ static SHARED: OnceLock<WorkerPool> = OnceLock::new();
 /// The process-wide pool, created on first use and registered as the
 /// [`lis_core::par`] fan-out backend — from then on every build-plane
 /// and sharded read-plane fan-out in the process runs on it. Sized by
-/// the `LIS_POOL_THREADS` environment variable when set to a positive
-/// integer, else by the machine's available parallelism.
+/// the machine's available parallelism.
 pub fn shared() -> &'static WorkerPool {
-    let pool = SHARED.get_or_init(|| WorkerPool::new(shared_threads()));
+    let pool = SHARED.get_or_init(|| WorkerPool::new(par::available_workers()));
     let _ = par::install_fanout(pool);
     pool
-}
-
-/// Worker count for [`shared`]: `LIS_POOL_THREADS` override or available
-/// parallelism.
-fn shared_threads() -> usize {
-    std::env::var("LIS_POOL_THREADS")
-        .ok()
-        .and_then(|v| v.parse::<usize>().ok())
-        .filter(|&n| n > 0)
-        .unwrap_or_else(par::available_workers)
 }
 
 #[cfg(test)]

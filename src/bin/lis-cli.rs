@@ -5,8 +5,8 @@
 //! lis-cli generate --dist lognormal --keys 10000 --density 0.05 --out keys.txt
 //! lis-cli pipeline --dist lognormal --keys 5000 --attack rmi --defense trim --index rmi,btree
 //! lis-cli pipeline --attack none --in keys.txt --index rmi,btree,pla
-//! lis-cli serve-online --keys 20000 --requests 5000 --out online.json
 //! lis-cli chaos --keys 100000 --scenario worker-panic --seed 7 --out chaos.json
+//! lis-cli chaos --keys 20000 --scenario defended:density --out attack.json
 //! lis-cli figures --scale smoke --only fig4,fig6
 //! lis-cli list-indexes
 //! ```
@@ -82,32 +82,22 @@ COMMANDS:
       --shards N      serve each victim as sharded:<name>:N          [1]
       exits nonzero if any victim loses a member key
 
-  serve-online        online attack plane: live poisoning + admission defenses
-      --keys N            victim keyset size                      [200000]
-      --density F         keyset density in (0, 1]                   [0.1]
-      --index NAME        victim registry name                       [rmi]
-      --poison-pct P      campaign budget percentage                  [10]
-      --benign-writes N   benign inserts trickled during campaign   [2000]
-      --requests N        benign reads per pre/post phase          [60000]
-      --readers R         concurrent benign reader threads             [2]
-      --workers W         serving worker threads                       [2]
-      --seed S            workload RNG seed                           [42]
-      --out FILE          JSON report path                      (required)
-
-  chaos               robustness ladder: seeded fault injection vs the live server
+  chaos               scenario ladder: seeded faults and live poisoning vs the server
       --keys N            victim keyset size                      [100000]
       --density F         keyset density in (0, 1]                   [0.1]
       --index NAME        victim registry name                       [rmi]
       --requests N        benign reads per scenario                [40000]
-      --writes N          benign writes (write-plane scenarios)      [512]
+      --writes N          benign writes (write-plane, attack rungs)  [512]
       --clients C         closed-loop client threads                   [4]
       --workers W         serving worker threads                       [2]
-      --seed S            fault-schedule seed (or LIS_CHAOS_SEED)
-      --poison-pct P      rollback-scenario campaign budget           [10]
+      --seed S            keyset, probe and fault-schedule seed [3298844397]
+      --poison-pct P      campaign budget (attack, rollback rungs)    [10]
       --scenario NAME     run one rung instead of the whole ladder
                           (baseline | worker-panic | queue-saturation |
-                           delayed-publish | writer-crash | rollback |
-                           kill-recover | torn-tail)
+                           delayed-publish | writer-crash | benign |
+                           undefended | defended:rate-limit |
+                           defended:density | rollback | kill-recover |
+                           torn-tail)
       --out FILE          JSON report path                      (required)
 
   figures             the paper's figures and ablations, one pinned table
@@ -142,12 +132,6 @@ const COMMANDS: &[Command] = &[
         flags: "in dist keys density seed index attack defense poison-pct model-size alpha queries shards",
         required: "",
         run: cmd_pipeline,
-    },
-    Command {
-        name: "serve-online",
-        flags: "keys density index poison-pct benign-writes requests readers workers seed out",
-        required: "out",
-        run: cmd_serve_online,
     },
     Command {
         name: "chaos",
@@ -265,59 +249,6 @@ fn cmd_generate(flags: &Flags) -> Result<(), String> {
     Ok(())
 }
 
-fn cmd_serve_online(flags: &Flags) -> Result<(), String> {
-    use lis::online::{run_online, OnlineConfig};
-
-    let defaults = OnlineConfig::default();
-    let cfg = OnlineConfig {
-        keys: flag(flags, "keys", defaults.keys)?,
-        density: flag(flags, "density", defaults.density)?,
-        index: flags.get("index").cloned().unwrap_or(defaults.index),
-        poison_percent: flag(flags, "poison-pct", defaults.poison_percent)?,
-        benign_writes: flag(flags, "benign-writes", defaults.benign_writes)?,
-        probe_requests: flag(flags, "requests", defaults.probe_requests)?,
-        readers: flag(flags, "readers", defaults.readers)?,
-        workers: flag(flags, "workers", defaults.workers)?,
-        seed: flag(flags, "seed", defaults.seed)?,
-    };
-    println!(
-        "serve-online: {} keys ({}), {}% campaign, {} benign writes, {} probes/phase\n",
-        cfg.keys, cfg.index, cfg.poison_percent, cfg.benign_writes, cfg.probe_requests
-    );
-    let report = run_online(&cfg).map_err(|e| e.to_string())?;
-    println!(
-        "{:<22} {:>9} {:>8} {:>8} {:>10} {:>9} {:>7}",
-        "scenario", "drift", "recall", "collat", "applied", "rejected", "epochs"
-    );
-    for s in &report.scenarios {
-        println!(
-            "{:<22} {:>8.3}x {:>8.3} {:>8.3} {:>10} {:>9} {:>7}",
-            s.name,
-            s.drift(),
-            s.recall(),
-            s.collateral(),
-            s.serve.writes_applied,
-            s.serve.writes_rejected,
-            s.serve.epochs
-        );
-    }
-    // `parse_args` rejects a command line without `--out`.
-    let out = &flags["out"];
-    report
-        .write_json(std::path::Path::new(out))
-        .map_err(|e| format!("writing {out}: {e}"))?;
-    println!("\nwrote {out}");
-    let violations = report.violations();
-    for v in &violations {
-        println!("gate violation: {v}");
-    }
-    if violations.is_empty() {
-        Ok(())
-    } else {
-        Err(format!("{} online gate violation(s)", violations.len()))
-    }
-}
-
 fn cmd_chaos(flags: &Flags) -> Result<(), String> {
     use lis::chaos::{run_chaos, run_chaos_scenario, ChaosConfig};
 
@@ -342,7 +273,7 @@ fn cmd_chaos(flags: &Flags) -> Result<(), String> {
         None => run_chaos(&cfg).map_err(|e| e.to_string())?,
     };
     println!(
-        "{:<18} {:>7} {:>8} {:>8} {:>7} {:>6} {:>9} {:>9} {:>10}",
+        "{:<20} {:>7} {:>8} {:>7} {:>6} {:>5} {:>8} {:>9} {:>4} {:>7} {:>7} {:>7}",
         "scenario",
         "avail%",
         "retries",
@@ -351,11 +282,14 @@ fn cmd_chaos(flags: &Flags) -> Result<(), String> {
         "resp",
         "p99_us",
         "recov_ms",
-        "rollbacks"
+        "rb",
+        "drift",
+        "recall",
+        "collat"
     );
     for s in &report.scenarios {
         println!(
-            "{:<18} {:>7.3} {:>8} {:>8} {:>7} {:>6} {:>9.1} {:>9.1} {:>10}",
+            "{:<20} {:>7.3} {:>8} {:>7} {:>6} {:>5} {:>8.1} {:>9.1} {:>4} {:>6.3}x {:>7.3} {:>7.3}",
             s.name,
             100.0 * s.availability(),
             s.retries,
@@ -364,7 +298,10 @@ fn cmd_chaos(flags: &Flags) -> Result<(), String> {
             s.serve.workers_restarted + s.serve.writer_restarts,
             s.serve.latency.p99() as f64 / 1_000.0,
             s.recovery_ms,
-            s.serve.rollbacks
+            s.serve.rollbacks,
+            s.drift(),
+            s.recall(),
+            s.collateral()
         );
     }
     let violations = report.violations();
@@ -646,31 +583,6 @@ mod tests {
     }
 
     #[test]
-    fn serve_online_writes_json_report() {
-        let dir = ScratchDir::new("cli-online").unwrap();
-        let out = dir
-            .path()
-            .join("BENCH_online.json")
-            .to_string_lossy()
-            .to_string();
-        let mut flags = Flags::new();
-        flags.insert("keys".into(), "3000".into());
-        flags.insert("benign-writes".into(), "60".into());
-        flags.insert("requests".into(), "1500".into());
-        flags.insert("readers".into(), "1".into());
-        flags.insert("workers".into(), "2".into());
-        flags.insert("out".into(), out.clone());
-        cmd_serve_online(&flags).unwrap();
-        let json = std::fs::read_to_string(&out).unwrap();
-        assert!(json.contains("\"bench\": \"online_serving\""));
-        assert!(json.contains("\"name\": \"undefended\""));
-        assert!(json.contains("\"name\": \"defended:density\""));
-
-        // No default report path: a missing `--out` is a usage error.
-        assert_eq!(run(&s(&["serve-online", "--keys", "3000"])), 2);
-    }
-
-    #[test]
     fn chaos_command_runs_one_rung_and_writes_json() {
         let dir = ScratchDir::new("cli-chaos").unwrap();
         let out = dir
@@ -696,6 +608,35 @@ mod tests {
 
         // No default report path: a missing `--out` is a usage error.
         assert_eq!(run(&s(&["chaos", "--scenario", "baseline"])), 2);
+    }
+
+    /// The online attack scenarios run as rungs of `chaos` and land in its
+    /// JSON report; the retired `serve-online` command is unknown.
+    #[test]
+    fn serve_online_writes_json_report() {
+        let dir = ScratchDir::new("cli-online").unwrap();
+        let out = dir
+            .path()
+            .join("BENCH_chaos.json")
+            .to_string_lossy()
+            .to_string();
+        let mut flags = Flags::new();
+        flags.insert("keys".into(), "3000".into());
+        flags.insert("writes".into(), "60".into());
+        flags.insert("requests".into(), "1500".into());
+        flags.insert("clients".into(), "2".into());
+        flags.insert("seed".into(), "51966".into());
+        flags.insert("out".into(), out.clone());
+        for rung in ["undefended", "defended:density"] {
+            flags.insert("scenario".into(), rung.into());
+            cmd_chaos(&flags).unwrap();
+            let json = std::fs::read_to_string(&out).unwrap();
+            assert!(json.contains("\"bench\": \"chaos\""));
+            assert!(json.contains(&format!("\"name\": \"{rung}\"")), "{rung}");
+            assert!(json.contains("\"recall\""));
+        }
+
+        assert_eq!(run(&s(&["serve-online", "--keys", "3000"])), 2);
     }
 
     #[test]

@@ -1,10 +1,11 @@
-//! The chaos scenario ladder: deterministic fault injection against the
-//! live server, scored on availability, correctness, and recovery.
+//! The scenario ladder: deterministic fault injection and live poisoning
+//! against the running server, scored on availability, correctness,
+//! recovery, and the cost the attack bought.
 //!
 //! Robustness claims are cheap; this module makes them measurable. Each
 //! scenario runs one server lifetime under a seeded fault schedule (see
-//! `lis_server::fault`) while closed-loop clients ride out the faults
-//! with bounded retry/backoff, and scores three things:
+//! `lis_server::fault`) or a live campaign while closed-loop clients ride
+//! it out with bounded retry/backoff, and scores three things:
 //!
 //! * **availability** — the fraction of benign requests answered within
 //!   the client retry budget;
@@ -20,7 +21,14 @@
 //! (injected latency spikes engage deadline-aware load shedding),
 //! `delayed-publish` (epoch publication stalls; readers pin the previous
 //! epoch), `writer-crash` (the writer dies with writes queued and
-//! rebuilds from the authoritative keyset), `rollback` (an
+//! rebuilds from the authoritative keyset), four attack rungs that play
+//! the paper's insert-only adversary against the write plane — `benign`
+//! (benign churn alone, the control), `undefended` (an Algorithm-2
+//! [`Campaign`] streams its poison beside the churn), and
+//! `defended:rate-limit` / `defended:density` (the same campaign against
+//! an admission filter) — each scored on **drift** (mean lookup cost after
+//! the campaign over before it), **recall** (campaign writes turned away)
+//! and **collateral** (benign writes turned away), then `rollback` (an
 //! Algorithm-2 poisoning campaign degrades serving cost until the
 //! [`CostDriftMonitor`] triggers epoch
 //! rollback to the trusted checkpoint), `kill-recover` (a
@@ -31,23 +39,25 @@
 //! recovery truncates the torn record and keeps the acked prefix, and a
 //! mid-log bit flip is *refused* as corruption rather than replayed).
 //!
-//! Every schedule derives from one seed (`LIS_CHAOS_SEED` overrides it),
-//! so a failing ladder run reproduces exactly. `lis-cli chaos` writes the
-//! resulting report as JSON; its gates (availability ≥ 99%, zero
-//! mismatches, bounded recovery, rollback restoring mean lookup cost to
-//! ≤ 1.01× the pre-campaign baseline) arm at full scale and are relaxed
-//! for CI smoke runs — see [`ChaosScenarioReport::violations`].
+//! Every schedule derives from the one seed in [`ChaosConfig`], so a
+//! failing ladder run reproduces exactly. `lis-cli chaos` writes the
+//! resulting report as JSON; its gates (zero mismatches, zero lost or
+//! missing acked writes, bounded recovery; availability ≥ 99% and
+//! rollback restoring mean lookup cost to ≤ 1.01× the pre-campaign
+//! baseline at full scale; the attack rungs' budget, collateral, recall
+//! and drift separations) are listed at [`ChaosScenarioReport::violations`]
+//! and [`ChaosReport::violations`].
 
 use lis_core::error::{LisError, Result};
 use lis_core::index::IndexRegistry;
 use lis_core::keys::{Key, KeySet};
 use lis_core::scratch::ScratchDir;
-use lis_defense::CostDriftMonitor;
+use lis_defense::{CostDriftMonitor, DensityScreen, SourceRateLimit};
 use lis_online::{run_campaign, Campaign, CampaignConfig};
 use lis_server::fault::FaultConfig;
 use lis_server::{
-    AdmitAll, Durability, FaultInjector, RetryPolicy, ServeConfig, ServeReport, Server,
-    ServerHandle, WriteOp, WriteStatus, WriteTicket,
+    AdmissionPolicy, AdmitAll, Durability, FaultInjector, RetryPolicy, ServeConfig, ServeReport,
+    Server, ServerHandle, WriteOp, WriteStatus, WriteTicket,
 };
 use lis_workloads::{domain_for_density, trial_rng, uniform_keys};
 use rand::Rng;
@@ -56,18 +66,28 @@ use std::fmt::Write as _;
 use std::time::{Duration, Instant};
 
 /// The scenario ladder, in run order.
-pub const SCENARIOS: [&str; 8] = [
+pub const SCENARIOS: [&str; 12] = [
     "baseline",
     "worker-panic",
     "queue-saturation",
     "delayed-publish",
     "writer-crash",
+    "benign",
+    "undefended",
+    "defended:rate-limit",
+    "defended:density",
     "rollback",
     "kill-recover",
     "torn-tail",
 ];
 
-/// Source id the rollback scenario's campaign writes under.
+/// Whether `scenario` is one of the four attack rungs, which run no fault
+/// schedule and measure drift across a live campaign.
+fn is_attack_rung(scenario: &str) -> bool {
+    matches!(scenario, "benign" | "undefended") || scenario.starts_with("defended:")
+}
+
+/// Source id every campaign writes under (benign writes use 0..16).
 const ADVERSARY_SOURCE: u64 = 1_000;
 /// In-flight window for pipelined write driving.
 const WRITE_WINDOW: usize = 32;
@@ -85,16 +105,17 @@ pub struct ChaosConfig {
     pub index: String,
     /// Benign read requests per scenario.
     pub requests: usize,
-    /// Benign writes in the write-plane scenarios.
+    /// Benign writes in the write-plane and attack scenarios.
     pub writes: usize,
     /// Closed-loop client threads.
     pub clients: usize,
     /// Serving worker threads.
     pub workers: usize,
-    /// Master fault-schedule seed (see
-    /// [`seed_from_env`](lis_server::seed_from_env) / `LIS_CHAOS_SEED`).
+    /// Master seed of the keyset, the probe streams and every fault
+    /// schedule.
     pub seed: u64,
-    /// Poison budget of the rollback scenario's campaign (`φ·100`).
+    /// Poison budget of the attack and rollback scenarios' campaigns
+    /// (`φ·100`).
     pub poison_percent: f64,
 }
 
@@ -108,7 +129,7 @@ impl Default for ChaosConfig {
             writes: 512,
             clients: 4,
             workers: 2,
-            seed: lis_server::seed_from_env(0xC4A0_5EED),
+            seed: 0xC4A0_5EED,
             poison_percent: 10.0,
         }
     }
@@ -136,18 +157,33 @@ pub struct ChaosScenarioReport {
     /// Writes lost to a terminal failure (must be zero).
     pub writes_lost: usize,
     /// Applied writes no longer (or never) visible when verified after
-    /// the drive (must be zero outside the rollback scenario, where
-    /// quarantine makes losing them the *point*).
+    /// the drive (must be zero). On `rollback` it counts the campaign's
+    /// applied keys still visible after the rollback instead, which
+    /// quarantine should make zero; that count is not gated.
     pub writes_missing: usize,
+    /// Benign writes an admission filter turned away (the collateral
+    /// numerator).
+    pub writes_rejected: usize,
+    /// Poison keys the campaign's offline plan allocated (attack and
+    /// rollback scenarios).
+    pub poison_planned: usize,
+    /// Campaign writes submitted.
+    pub poison_submitted: usize,
+    /// Campaign writes the server applied.
+    pub poison_applied: usize,
+    /// Campaign writes admission control rejected.
+    pub poison_rejected: usize,
     /// Faults the injector actually fired.
     pub faults_fired: u64,
     /// Post-disarm clean-sweep duration.
     pub recovery_ms: f64,
     /// Failures during the recovery sweep (must be zero).
     pub recovery_failures: usize,
-    /// Mean lookup cost before the campaign (rollback scenario only).
+    /// Mean lookup cost before the campaign (attack and rollback
+    /// scenarios).
     pub pre_mean_cost: f64,
-    /// Mean lookup cost after recovery (rollback scenario only).
+    /// Mean lookup cost after the campaign (attack scenarios) or after the
+    /// rollback (rollback scenario).
     pub post_mean_cost: f64,
     /// WAL ops replayed on top of the snapshot during recovery (durable
     /// scenarios only).
@@ -175,20 +211,34 @@ impl ChaosScenarioReport {
         self.answered as f64 / self.requests as f64
     }
 
-    /// Post-recovery cost over the pre-campaign baseline (1.0 when the
-    /// scenario measured no cost phases).
-    pub fn rollback_ratio(&self) -> f64 {
+    /// Post/pre mean lookup cost: the drift a campaign bought on an
+    /// attack rung, what the rollback left of it on `rollback` (1.0 when
+    /// the scenario measured no cost phases).
+    pub fn drift(&self) -> f64 {
         if self.pre_mean_cost <= 0.0 {
             return 1.0;
         }
         self.post_mean_cost / self.pre_mean_cost
     }
 
-    /// The ladder's structural gates, as a list of violations (empty =
-    /// the scenario holds). Scale-dependent gates arm only when the run
-    /// is big enough to make them statistically meaningful; the
-    /// always-on core is *correctness*: zero mismatches, zero lost
-    /// writes, zero recovery failures.
+    /// Fraction of campaign writes turned away (0 when no campaign ran).
+    pub fn recall(&self) -> f64 {
+        self.poison_rejected as f64 / (self.poison_submitted as f64).max(1.0)
+    }
+
+    /// Fraction of benign writes turned away.
+    pub fn collateral(&self) -> f64 {
+        self.writes_rejected as f64 / (self.writes_submitted as f64).max(1.0)
+    }
+
+    /// The scenario's own gates, as a list of violations (empty = the
+    /// scenario holds). Scale-dependent gates arm only when the run is
+    /// big enough to make them statistically meaningful; the always-on
+    /// core is *correctness* — zero mismatches, zero lost writes, zero
+    /// recovery failures — plus the attack rungs' budgets: `benign`
+    /// rejects no benign write, `undefended` lands ≥ 90 % of its plan,
+    /// each `defended:*` rung keeps collateral below 20 %, and from
+    /// 100,000 keys benign churn leaves serving flat (drift < 1.05).
     pub fn violations(&self, cfg: &ChaosConfig) -> Vec<String> {
         let mut out = Vec::new();
         if self.mismatches > 0 {
@@ -230,6 +280,31 @@ impl ChaosScenarioReport {
         if self.name == "torn-tail" && !self.corruption_detected {
             out.push("torn-tail: mid-log bit-flip corruption was not refused".into());
         }
+        match self.name.as_str() {
+            "benign" if self.writes_rejected > 0 => out.push(format!(
+                "benign: admit-all rejected {} benign writes",
+                self.writes_rejected
+            )),
+            "undefended" if (self.poison_applied as f64) < 0.9 * self.poison_planned as f64 => {
+                out.push(format!(
+                    "undefended: the campaign landed {}/{} planned writes",
+                    self.poison_applied, self.poison_planned
+                ));
+            }
+            name if name.starts_with("defended:") && self.collateral() >= 0.2 => {
+                out.push(format!(
+                    "{name}: benign collateral {:.3} (bound 0.2)",
+                    self.collateral()
+                ));
+            }
+            _ => {}
+        }
+        if self.name == "benign" && cfg.keys >= 100_000 && self.drift() >= 1.05 {
+            out.push(format!(
+                "benign: churn drifted serving cost {:.3}x",
+                self.drift()
+            ));
+        }
         let at_scale = cfg.requests >= 10_000 && cfg.keys >= 100_000;
         if at_scale {
             if self.availability() < 0.99 {
@@ -252,14 +327,14 @@ impl ChaosScenarioReport {
                 "rollback" => {
                     if self.serve.rollbacks == 0 {
                         out.push("rollback: drift never triggered a rollback".into());
-                    } else if self.rollback_ratio() > 1.01 {
+                    } else if self.drift() > 1.01 {
                         out.push(format!(
                             "rollback: post/pre cost {:.4} above 1.01",
-                            self.rollback_ratio()
+                            self.drift()
                         ));
                     }
                 }
-                name if name != "baseline" && self.faults_fired == 0 => {
+                name if name != "baseline" && !is_attack_rung(name) && self.faults_fired == 0 => {
                     out.push(format!("{name}: the fault schedule never fired"));
                 }
                 _ => {}
@@ -284,12 +359,58 @@ impl ChaosReport {
         self.scenarios.iter().find(|s| s.name == name)
     }
 
-    /// All gate violations across the ladder (empty = the ladder holds).
+    /// All gate violations across the ladder (empty = the ladder holds):
+    /// every scenario's own (see [`ChaosScenarioReport::violations`]),
+    /// then the gates that compare attack rungs, each checked only when
+    /// the report holds the rungs it compares. Some defense must deny
+    /// most of the campaign (recall > 0.5 and fewer than half the
+    /// undefended rung's applied writes). From 100,000 keys, where the
+    /// campaign moves mean cost reliably, the undefended drift must
+    /// exceed benign's by 0.01 and the best defense must claw drift back
+    /// below the undefended one.
     pub fn violations(&self) -> Vec<String> {
-        self.scenarios
+        let mut out: Vec<String> = self
+            .scenarios
             .iter()
             .flat_map(|s| s.violations(&self.config))
-            .collect()
+            .collect();
+        let Some(undefended) = self.scenario("undefended") else {
+            return out;
+        };
+        let defended: Vec<&ChaosScenarioReport> = self
+            .scenarios
+            .iter()
+            .filter(|s| s.name.starts_with("defended:"))
+            .collect();
+        if !defended.is_empty()
+            && !defended
+                .iter()
+                .any(|s| s.recall() > 0.5 && s.poison_applied < undefended.poison_applied / 2)
+        {
+            out.push("no admission defense denied most of the campaign".into());
+        }
+        if self.config.keys >= 100_000 {
+            if let Some(benign) = self.scenario("benign") {
+                if undefended.drift() <= benign.drift() + 0.01 {
+                    out.push(format!(
+                        "undefended: drift {:.4} is not above benign {:.4}",
+                        undefended.drift(),
+                        benign.drift()
+                    ));
+                }
+            }
+            let best = defended
+                .iter()
+                .map(|s| s.drift())
+                .fold(f64::INFINITY, f64::min);
+            if !defended.is_empty() && best >= undefended.drift() {
+                out.push(format!(
+                    "no defense clawed back drift: best {best:.4} vs undefended {:.4}",
+                    undefended.drift()
+                ));
+            }
+        }
+        out
     }
 
     /// Renders the machine-readable `BENCH_chaos.json` document.
@@ -301,7 +422,7 @@ impl ChaosReport {
             out,
             "  \"units\": {{\"availability\": \"fraction answered within retry budget\", \
              \"recovery_ms\": \"milliseconds\", \"latency\": \"nanoseconds\", \
-             \"rollback_ratio\": \"post/pre mean cost\"}},"
+             \"mean_cost\": \"key comparisons\", \"drift\": \"post/pre mean cost\"}},"
         );
         let _ = writeln!(out, "  \"keys\": {},", self.config.keys);
         let _ = writeln!(out, "  \"density\": {},", self.config.density);
@@ -330,6 +451,11 @@ impl ChaosReport {
             let _ = writeln!(out, "      \"writes_acked\": {},", s.writes_acked);
             let _ = writeln!(out, "      \"writes_lost\": {},", s.writes_lost);
             let _ = writeln!(out, "      \"writes_missing\": {},", s.writes_missing);
+            let _ = writeln!(out, "      \"writes_rejected\": {},", s.writes_rejected);
+            let _ = writeln!(out, "      \"poison_planned\": {},", s.poison_planned);
+            let _ = writeln!(out, "      \"poison_submitted\": {},", s.poison_submitted);
+            let _ = writeln!(out, "      \"poison_applied\": {},", s.poison_applied);
+            let _ = writeln!(out, "      \"poison_rejected\": {},", s.poison_rejected);
             let _ = writeln!(out, "      \"faults_fired\": {},", s.faults_fired);
             let _ = writeln!(out, "      \"shed\": {},", s.serve.shed);
             let _ = writeln!(
@@ -360,10 +486,36 @@ impl ChaosReport {
             );
             let _ = writeln!(out, "      \"pre_mean_cost\": {:.4},", s.pre_mean_cost);
             let _ = writeln!(out, "      \"post_mean_cost\": {:.4},", s.post_mean_cost);
-            let _ = writeln!(out, "      \"rollback_ratio\": {:.4},", s.rollback_ratio());
+            let _ = writeln!(out, "      \"drift\": {:.4},", s.drift());
+            let _ = writeln!(out, "      \"recall\": {:.4},", s.recall());
+            let _ = writeln!(out, "      \"collateral\": {:.4},", s.collateral());
             let _ = writeln!(out, "      \"p50_ns\": {},", s.serve.latency.p50());
             let _ = writeln!(out, "      \"p99_ns\": {},", s.serve.latency.p99());
-            let _ = writeln!(out, "      \"epochs\": {}", s.serve.epochs);
+            let _ = writeln!(out, "      \"epochs\": {},", s.serve.epochs);
+            let _ = writeln!(out, "      \"window_ms\": {},", s.serve.window.as_millis());
+            let _ = writeln!(out, "      \"timeline\": [");
+            for (j, w) in s.serve.timeline.iter().enumerate() {
+                let wc = if j + 1 < s.serve.timeline.len() {
+                    ","
+                } else {
+                    ""
+                };
+                let _ = writeln!(
+                    out,
+                    "        {{\"start_ms\": {}, \"served\": {}, \"mean_cost\": {:.3}, \
+                     \"p50_ns\": {}, \"p99_ns\": {}, \"epochs\": {}, \
+                     \"writes_applied\": {}, \"writes_rejected\": {}}}{wc}",
+                    w.start_ms,
+                    w.served,
+                    w.mean_cost(),
+                    w.p50_ns,
+                    w.p99_ns,
+                    w.epochs,
+                    w.writes_applied,
+                    w.writes_rejected
+                );
+            }
+            let _ = writeln!(out, "      ]");
             let _ = writeln!(out, "    }}{comma}");
         }
         let _ = writeln!(out, "  ]");
@@ -466,13 +618,15 @@ fn submit_once(handle: &ServerHandle, key: Key, policy: &RetryPolicy) -> Result<
 struct WriteDrive {
     submitted: usize,
     acked: usize,
+    rejected: usize,
     lost: usize,
     retries: u64,
 }
 
 /// Drives `keys` as inserts with up to [`WRITE_WINDOW`] writes in flight,
 /// resubmitting transient failures (writer crashed with the write
-/// queued) with backoff. Terminal failures count as lost.
+/// queued) with backoff. Admission rejections count as rejected, other
+/// terminal failures as lost.
 fn drive_writes(handle: &ServerHandle, keys: &[Key], policy: &RetryPolicy) -> WriteDrive {
     let mut drive = WriteDrive::default();
     let mut inflight: VecDeque<(Key, u32, WriteTicket)> = VecDeque::new();
@@ -494,6 +648,10 @@ fn drive_writes(handle: &ServerHandle, keys: &[Key], policy: &RetryPolicy) -> Wr
             Ok(status) if status.is_transient_failure() => true,
             Ok(WriteStatus::Applied { .. }) => {
                 drive.acked += 1;
+                false
+            }
+            Ok(WriteStatus::Rejected { .. }) => {
+                drive.rejected += 1;
                 false
             }
             Ok(_) => {
@@ -540,8 +698,10 @@ fn recovery_sweep(server: &Server, probes: &[Key]) -> (Duration, usize) {
     (started.elapsed(), failures)
 }
 
-/// Mid-gap insert keys for the write-plane scenarios: distinct from each
-/// other and from every member.
+/// Mid-gap benign insert keys for the write-plane and attack scenarios:
+/// each lands halfway inside a random gap of the bootstrap keyset, the
+/// least suspicious write a legitimate client can make. Distinct from
+/// each other and from every member.
 fn benign_insert_keys(ks: &KeySet, count: usize, seed: u64) -> Vec<Key> {
     let keys = ks.keys();
     let mut rng = trial_rng(seed, 9_301);
@@ -665,6 +825,21 @@ fn faults_for(scenario: &str, seed: u64) -> FaultInjector {
     }
 }
 
+/// The admission policy a scenario runs under, calibrated on the trusted
+/// `bootstrap` snapshot; [`AdmitAll`] outside the `defended:*` rungs.
+fn admission_for(scenario: &str, bootstrap: &KeySet) -> Box<dyn AdmissionPolicy> {
+    match scenario {
+        // The campaign must land hundreds of writes from one identity;
+        // 2% of the stream plus a 50-write burst starves it while a
+        // 16-source benign fleet stays under its share.
+        "defended:rate-limit" => Box::new(SourceRateLimit::new(0.02, 50.0)),
+        // Poison packs keys against gap endpoints; a 3-key one-sided
+        // window at 4x the bootstrap's average density catches the clump.
+        "defended:density" => Box::new(DensityScreen::from_bootstrap(bootstrap, 3, 4.0)),
+        _ => Box::new(AdmitAll),
+    }
+}
+
 /// Runs one scenario end to end. See the module docs for the phases.
 fn run_scenario(scenario: &str, cfg: &ChaosConfig) -> Result<ChaosScenarioReport> {
     if matches!(scenario, "kill-recover" | "torn-tail") {
@@ -682,10 +857,19 @@ fn run_scenario(scenario: &str, cfg: &ChaosConfig) -> Result<ChaosScenarioReport
     } else {
         cfg.requests
     };
+    let attack = is_attack_rung(scenario);
+    // A campaign inserts gap endpoints such as `member + 1` — exactly the
+    // stream's miss probes — so a miss's answer changes mid-run and
+    // cannot be checked: the attack rungs probe members only.
     let (probes, expected) = probe_stream(&ks, scenario_requests, cfg.seed);
+    let (probes, expected): (Vec<Key>, Vec<bool>) = probes
+        .into_iter()
+        .zip(expected)
+        .filter(|&(_, member)| member || !attack)
+        .unzip();
 
     let faults = faults_for(scenario, cfg.seed);
-    let online = matches!(scenario, "delayed-publish" | "writer-crash" | "rollback");
+    let online = attack || matches!(scenario, "delayed-publish" | "writer-crash" | "rollback");
     let index_name = cfg.index.clone();
     let registry = IndexRegistry::with_defaults();
     let mut serve_cfg = ServeConfig::new()
@@ -700,24 +884,19 @@ fn run_scenario(scenario: &str, cfg: &ChaosConfig) -> Result<ChaosScenarioReport
         // something to push back against.
         serve_cfg = serve_cfg.workers(1).batch(4).queue_depth(16);
     }
-    let builder = Server::builder(serve_cfg).faults(faults.clone());
-    let server = if scenario == "rollback" {
-        builder
-            .rollback(Box::new(CostDriftMonitor::new(
-                1.02,
-                (scenario_requests as u64 / 80).clamp(50, 500),
-                3,
-            )))
-            .start_online(
-                ks.clone(),
-                move |ks| registry.build(&index_name, ks),
-                Box::new(AdmitAll),
-            )?
-    } else if online {
+    let mut builder = Server::builder(serve_cfg).faults(faults.clone());
+    if scenario == "rollback" {
+        builder = builder.rollback(Box::new(CostDriftMonitor::new(
+            1.02,
+            (scenario_requests as u64 / 80).clamp(50, 500),
+            3,
+        )));
+    }
+    let server = if online {
         builder.start_online(
             ks.clone(),
             move |ks| registry.build(&index_name, ks),
-            Box::new(AdmitAll),
+            admission_for(scenario, &ks),
         )?
     } else {
         builder.start(std::sync::Arc::new(registry.build(&index_name, &ks)?))
@@ -738,6 +917,7 @@ fn run_scenario(scenario: &str, cfg: &ChaosConfig) -> Result<ChaosScenarioReport
     let mut post_mean_cost = 0.0;
     let mut write_drive = WriteDrive::default();
     let mut writes_missing = 0usize;
+    let mut campaign = None;
     let read_drive;
 
     if scenario == "rollback" {
@@ -762,16 +942,8 @@ fn run_scenario(scenario: &str, cfg: &ChaosConfig) -> Result<ChaosScenarioReport
         // The live Algorithm-2 campaign lands its poison through the
         // serve path; every applied write is provisional post-checkpoint
         // state.
-        let mut campaign = Campaign::plan(
-            &ks,
-            &CampaignConfig {
-                poison_percent: cfg.poison_percent,
-                ..CampaignConfig::default()
-            },
-        )?;
-        run_campaign(&handle, &mut campaign, ADVERSARY_SOURCE, WRITE_WINDOW)?;
-        write_drive.submitted = campaign.submitted();
-        write_drive.acked = campaign.applied();
+        let campaign = campaign.insert(plan_campaign(&ks, cfg)?);
+        run_campaign(&handle, campaign, ADVERSARY_SOURCE, WRITE_WINDOW)?;
         // Keep reading until the drift monitor sees the degraded windows
         // and the writer rolls back (bounded so a broken monitor fails
         // the gate instead of hanging the ladder).
@@ -792,18 +964,33 @@ fn run_scenario(scenario: &str, cfg: &ChaosConfig) -> Result<ChaosScenarioReport
             .filter(|&&k| handle.lookup(k).map(|h| h.found).unwrap_or(false))
             .count();
     } else if online {
-        // Write-plane fault classes: concurrent benign readers while the
-        // pipelined writer rides out crashes/stalls.
+        // Write-plane rungs: concurrent benign readers while the
+        // pipelined writer rides out crashes/stalls. An attack rung
+        // brackets the drive with two cost sweeps and, except on
+        // `benign`, streams the campaign's poison beside it.
+        if attack {
+            pre_mean_cost = measured_sweep(&server, &probes)?;
+            if scenario != "benign" {
+                campaign = Some(plan_campaign(&ks, cfg)?);
+            }
+        }
         let insert_keys = benign_insert_keys(&ks, cfg.writes, cfg.seed);
         let mut drive_result = ReadDrive::default();
-        // lis-analysis: allow(thread-discipline) — role parallelism:
-        // one write driver and a read fleet against one server.
-        std::thread::scope(|scope| {
+        // lis-analysis: allow(thread-discipline) — role parallelism: a
+        // benign write driver, an adversary and a read fleet against one
+        // server.
+        std::thread::scope(|scope| -> Result<()> {
             let writer = scope.spawn(|| drive_writes(&handle, &insert_keys, &policy));
+            let adversary = scope.spawn(|| match campaign.as_mut() {
+                Some(campaign) => run_campaign(&handle, campaign, ADVERSARY_SOURCE, WRITE_WINDOW),
+                None => Ok(()),
+            });
             drive_result = drive_reads(&server, &probes, &expected, cfg.clients, &policy);
             // lis-analysis: allow(serve-no-panic) — harness aggregation.
             write_drive = writer.join().expect("chaos write driver panicked");
-        });
+            // lis-analysis: allow(serve-no-panic) — harness aggregation.
+            adversary.join().expect("chaos campaign driver panicked")
+        })?;
         read_drive = drive_result;
         faults.disarm();
         // Every acked write must be durable across writer restarts.
@@ -812,6 +999,9 @@ fn run_scenario(scenario: &str, cfg: &ChaosConfig) -> Result<ChaosScenarioReport
             .filter(|&&k| !handle.lookup(k).map(|h| h.found).unwrap_or(false))
             .count()
             .saturating_sub(insert_keys.len() - write_drive.acked);
+        if attack {
+            post_mean_cost = measured_sweep(&server, &probes)?;
+        }
     } else {
         read_drive = drive_reads(&server, &probes, &expected, cfg.clients, &policy);
         faults.disarm();
@@ -820,6 +1010,10 @@ fn run_scenario(scenario: &str, cfg: &ChaosConfig) -> Result<ChaosScenarioReport
     faults.disarm();
     let (recovery, recovery_failures) = recovery_sweep(&server, &probes);
     let serve = server.shutdown();
+    let (poison_planned, poison_submitted, poison_applied, poison_rejected) =
+        campaign.as_ref().map_or((0, 0, 0, 0), |c| {
+            (c.planned(), c.submitted(), c.applied(), c.rejected())
+        });
     Ok(ChaosScenarioReport {
         name: scenario.to_string(),
         requests: probes.len(),
@@ -830,6 +1024,11 @@ fn run_scenario(scenario: &str, cfg: &ChaosConfig) -> Result<ChaosScenarioReport
         writes_acked: write_drive.acked,
         writes_lost: write_drive.lost,
         writes_missing,
+        writes_rejected: write_drive.rejected,
+        poison_planned,
+        poison_submitted,
+        poison_applied,
+        poison_rejected,
         faults_fired: faults.total_fired(),
         recovery_ms: recovery.as_secs_f64() * 1_000.0,
         recovery_failures,
@@ -841,6 +1040,17 @@ fn run_scenario(scenario: &str, cfg: &ChaosConfig) -> Result<ChaosScenarioReport
         corruption_detected: false,
         serve,
     })
+}
+
+/// Plans the scenario's Algorithm-2 campaign against the bootstrap keyset.
+fn plan_campaign(ks: &KeySet, cfg: &ChaosConfig) -> Result<Campaign> {
+    Campaign::plan(
+        ks,
+        &CampaignConfig {
+            poison_percent: cfg.poison_percent,
+            ..CampaignConfig::default()
+        },
+    )
 }
 
 /// The durable rungs (7 and 8): a storage fault kills the write plane
@@ -995,6 +1205,11 @@ fn run_durable_scenario(scenario: &str, cfg: &ChaosConfig) -> Result<ChaosScenar
         writes_acked,
         writes_lost: write_drive.lost,
         writes_missing,
+        writes_rejected: 0,
+        poison_planned: 0,
+        poison_submitted: 0,
+        poison_applied: 0,
+        poison_rejected: 0,
         faults_fired,
         recovery_ms: recovery.as_secs_f64() * 1_000.0,
         recovery_failures,
@@ -1046,7 +1261,6 @@ mod tests {
             writes: 128,
             clients: 2,
             workers: 2,
-            seed: 0xC4A0_5EED,
             ..ChaosConfig::default()
         }
     }
@@ -1130,6 +1344,100 @@ mod tests {
     }
 
     #[test]
+    fn benign_scenario_stays_flat_and_applies_all_writes() {
+        let report = run_chaos_scenario("benign", &smoke_config()).unwrap();
+        let s = report.scenario("benign").unwrap();
+        assert_eq!(s.poison_submitted, 0);
+        assert_eq!(s.writes_rejected, 0);
+        assert!(s.writes_acked > 0);
+        assert!(
+            s.drift() < 1.15,
+            "benign churn should not move serving cost much, drift {:.3}",
+            s.drift()
+        );
+        assert!(s.serve.epochs >= 1);
+        assert!(report.violations().is_empty(), "{:?}", report.violations());
+    }
+
+    #[test]
+    fn undefended_campaign_lands_its_budget() {
+        let report = run_chaos_scenario("undefended", &smoke_config()).unwrap();
+        let s = report.scenario("undefended").unwrap();
+        assert!(s.poison_planned > 0);
+        assert!(
+            s.poison_applied as f64 >= 0.9 * s.poison_planned as f64,
+            "undefended campaign should land its budget: {}/{}",
+            s.poison_applied,
+            s.poison_planned
+        );
+        assert_eq!(s.poison_rejected, 0);
+        assert!(s.serve.epochs >= 1);
+        assert!(report.violations().is_empty(), "{:?}", report.violations());
+    }
+
+    #[test]
+    fn density_defense_rejects_most_poison_with_bounded_collateral() {
+        let report = run_chaos_scenario("defended:density", &smoke_config()).unwrap();
+        let s = report.scenario("defended:density").unwrap();
+        assert!(
+            s.recall() > 0.5,
+            "density screen should reject most poison, recall {:.3}",
+            s.recall()
+        );
+        assert!(
+            s.collateral() < 0.2,
+            "collateral too high: {:.3}",
+            s.collateral()
+        );
+        assert!(
+            s.poison_applied < s.poison_planned,
+            "defense should deny part of the budget"
+        );
+        assert!(report.violations().is_empty(), "{:?}", report.violations());
+    }
+
+    #[test]
+    fn attack_gates_compare_only_the_rungs_present() {
+        let base = run_chaos_scenario("benign", &smoke_config())
+            .unwrap()
+            .scenarios
+            .remove(0);
+        let rung = |name: &str, post: f64, applied: usize, rejected: usize| ChaosScenarioReport {
+            name: name.into(),
+            pre_mean_cost: 10.0,
+            post_mean_cost: post,
+            poison_planned: 1_000,
+            poison_submitted: applied + rejected,
+            poison_applied: applied,
+            poison_rejected: rejected,
+            ..base.clone()
+        };
+        let mut report = ChaosReport {
+            config: ChaosConfig {
+                keys: 100_000,
+                ..smoke_config()
+            },
+            scenarios: vec![rung("undefended", 11.0, 1_000, 0)],
+        };
+        assert!(report.violations().is_empty(), "{:?}", report.violations());
+        report.scenarios.push(rung("benign", 10.0, 0, 0));
+        assert!(report.violations().is_empty(), "{:?}", report.violations());
+        // A defense that lets most of the campaign land, and its drift.
+        report
+            .scenarios
+            .push(rung("defended:density", 11.0, 900, 100));
+        let v = report.violations();
+        assert_eq!(v.len(), 2, "{v:?}");
+        assert!(v[0].contains("denied most") && v[1].contains("clawed back"));
+        report.scenarios[2] = rung("defended:density", 10.0, 0, 1_000);
+        assert!(report.violations().is_empty(), "{:?}", report.violations());
+        // The campaign bought no more drift than benign churn.
+        report.scenarios[0].post_mean_cost = 10.05;
+        let v = report.violations();
+        assert!(v.len() == 1 && v[0].contains("not above benign"), "{v:?}");
+    }
+
+    #[test]
     fn unknown_scenario_is_rejected() {
         assert!(run_chaos_scenario("nope", &smoke_config()).is_err());
     }
@@ -1141,6 +1449,8 @@ mod tests {
         assert!(json.contains("\"bench\": \"chaos\""));
         assert!(json.contains("\"availability\""));
         assert!(json.contains("\"recovery_ms\""));
-        assert!(json.contains("\"rollback_ratio\""));
+        assert!(json.contains("\"timeline\""));
+        assert!(json.contains("\"drift\""));
+        assert!(json.contains("\"recall\""));
     }
 }

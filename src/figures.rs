@@ -26,6 +26,7 @@ use lis_core::rmi::{Rmi, RmiConfig};
 use lis_core::stats::BoxplotSummary;
 use lis_defense::robust::compare_on_attack;
 use lis_defense::{evaluate_defense, trim_defense, DefenseReport, TrimConfig};
+use lis_poison::blackbox::blackbox_rmi_attack;
 use lis_poison::bruteforce::{
     bruteforce_multi_point, bruteforce_single_point, bruteforce_single_point_naive,
 };
@@ -688,6 +689,33 @@ fn abl_removal(scale: Scale) -> Result<Measured> {
     Ok(m)
 }
 
+fn abl_blackbox(scale: Scale) -> Result<Measured> {
+    let (n, leaves): (usize, usize) = scale.pick((2_000, 20), (20_000, 200));
+    let clean = Dist::Uniform.sample(0xB1AC, 0, n, 0.15)?;
+    let rmi = Rmi::build(&clean, &RmiConfig::linear_root(leaves))?;
+    let cfg = RmiAttackConfig::new(10.0).with_max_exchanges(20);
+    let black = blackbox_rmi_attack(&rmi, &clean, &cfg)?;
+    // A leaf is recovered when the inferred slope is within the rounding
+    // error of two integer position probes across its partition.
+    let recovered = rmi
+        .leaves()
+        .iter()
+        .zip(&black.inferred)
+        .zip(clean.partition(leaves)?)
+        .filter(|((leaf, inferred), part)| {
+            let span = (part.max_key() - part.min_key()) as f64;
+            (leaf.model.w - inferred.w).abs() <= 2.5 / span + 1e-9
+        })
+        .count();
+    let mut m = Measured::default();
+    m.put("leaves", leaves as f64);
+    m.put("probes", black.total_probes as f64);
+    m.put("inferred", black.inferred.len() as f64);
+    m.put("recovered", recovered as f64);
+    m.put("rmi_ratio", black.attack.rmi_ratio());
+    Ok(m)
+}
+
 fn abl_robust(scale: Scale) -> Result<Measured> {
     let (sizes, percents): (&[usize], &[f64]) =
         scale.pick((&[200], &[10.0]), (&[200, 1_000], &[5.0, 10.0, 15.0]));
@@ -1089,6 +1117,27 @@ pub static FIGURES: &[Figure] = &[
             ("delete.t1.b30", 7.4096948646648055),
             ("mixed.t1.b30", 9.173305792806628),
             ("first_step_margin", 0.0),
+        ],
+    },
+    Figure {
+        id: "abl-blackbox",
+        title: "black-box Algorithm 2: infer each leaf model by probing, then attack",
+        paper: "Section VI: black-box adversaries",
+        headline: "rmi_ratio",
+        claim:
+            "two probes per leaf recover every leaf model, and the attack still raises the RMI loss",
+        measure: abl_blackbox,
+        holds: |m| {
+            m.get("recovered") == m.get("leaves")
+                && m.get("inferred") == m.get("leaves")
+                && m.get("rmi_ratio") > 1.0
+        },
+        pinned: &[
+            ("leaves", 20.0),
+            ("probes", 40.0),
+            ("inferred", 20.0),
+            ("recovered", 20.0),
+            ("rmi_ratio", 4.501419111236207),
         ],
     },
     Figure {

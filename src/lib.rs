@@ -20,14 +20,14 @@
 //!   queue, adaptive micro-batcher, worker pool, latency histogram, and
 //!   the epoch-swapped write plane with pluggable admission control);
 //! * [`online`] — the online attack plane: live Algorithm-2 poisoning
-//!   campaigns through the serve path, plus the benign / undefended /
-//!   defended harness behind `lis-cli serve-online`;
+//!   campaigns through the serve path;
 //! * [`pipeline`] — the workload → attack → defense → index → report
 //!   builder composing all of the above, measuring through [`server`];
-//! * [`chaos`] — the robustness ladder: deterministic fault injection
-//!   (see [`lis_server::fault`]) against the live server, scored on
-//!   availability, correctness under faults, recovery time, and
-//!   attack-triggered epoch rollback, behind `lis-cli chaos`;
+//! * [`chaos`] — the scenario ladder: deterministic fault injection
+//!   (see [`lis_server::fault`]) and live poisoning campaigns against the
+//!   running server, scored on availability, correctness under faults,
+//!   recovery time, attack drift, defense recall and benign collateral,
+//!   and attack-triggered epoch rollback, behind `lis-cli chaos`;
 //! * [`figures`] — the paper's figures and ablations as one table of
 //!   pinned, deterministic quantities behind `lis-cli figures`.
 //!
@@ -86,7 +86,7 @@ pub mod prelude {
     pub use lis_core::stats::BoxplotSummary;
     pub use lis_defense::{Defense, DefenseOutcome};
     pub use lis_defense::{DensityScreen, SourceRateLimit, TrustedFence};
-    pub use lis_online::{run_campaign, run_online, Campaign, CampaignConfig, OnlineConfig};
+    pub use lis_online::{run_campaign, Campaign, CampaignConfig};
     pub use lis_poison::{
         greedy_poison, greedy_poison_lazy, optimal_single_point, rmi_attack, Attack, AttackOutcome,
         GreedyPlan, IncrementalOracle, PoisonBudget, RmiAttackConfig, RmiAttackResult,
