@@ -267,12 +267,6 @@ impl AlexIndex {
 }
 
 impl LearnedIndex for AlexIndex {
-    type Config = AlexConfig;
-
-    fn build(ks: &KeySet, cfg: &Self::Config) -> Result<Self> {
-        AlexIndex::build(ks, *cfg)
-    }
-
     fn lookup(&self, key: Key) -> Lookup {
         AlexIndex::lookup(self, key)
     }

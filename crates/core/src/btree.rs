@@ -15,19 +15,6 @@ use crate::index::{LearnedIndex, Lookup};
 use crate::keys::{Key, KeySet};
 use crate::search::binary_search_counted;
 
-/// Build configuration for [`BPlusTree`] under the [`LearnedIndex`] API.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct BTreeConfig {
-    /// Maximum keys per leaf and children per inner node.
-    pub fanout: usize,
-}
-
-impl Default for BTreeConfig {
-    fn default() -> Self {
-        Self { fanout: 64 }
-    }
-}
-
 /// An inner node: separator keys and child indices.
 #[derive(Debug, Clone)]
 struct InnerNode {
@@ -161,12 +148,6 @@ impl BPlusTree {
 }
 
 impl LearnedIndex for BPlusTree {
-    type Config = BTreeConfig;
-
-    fn build(ks: &KeySet, cfg: &Self::Config) -> Result<Self> {
-        BPlusTree::build(ks, cfg.fanout)
-    }
-
     fn lookup(&self, key: Key) -> Lookup {
         BPlusTree::lookup(self, key)
     }

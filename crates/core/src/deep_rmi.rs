@@ -395,12 +395,6 @@ impl DeepRmi {
 }
 
 impl LearnedIndex for DeepRmi {
-    type Config = DeepRmiConfig;
-
-    fn build(ks: &KeySet, cfg: &Self::Config) -> Result<Self> {
-        DeepRmi::build(ks, cfg)
-    }
-
     fn lookup(&self, key: Key) -> Lookup {
         DeepRmi::lookup(self, key)
     }

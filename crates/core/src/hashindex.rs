@@ -18,26 +18,6 @@ use crate::index::{LearnedIndex, Lookup};
 use crate::keys::{Key, KeySet};
 use crate::linreg::LinearModel;
 
-/// Build configuration for [`HashIndex`] under the [`LearnedIndex`] API:
-/// the table is sized relative to the keyset (`slots = ⌈n · slots_per_key⌉`)
-/// so one config serves any workload scale.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct HashIndexConfig {
-    /// Buckets per stored key (the inverse load factor), > 0.
-    pub slots_per_key: f64,
-    /// Slot-assignment policy.
-    pub kind: HashKind,
-}
-
-impl Default for HashIndexConfig {
-    fn default() -> Self {
-        Self {
-            slots_per_key: 1.25,
-            kind: HashKind::Learned,
-        }
-    }
-}
-
 /// Slot-assignment policy for [`HashIndex`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum HashKind {
@@ -152,16 +132,6 @@ impl HashIndex {
 }
 
 impl LearnedIndex for HashIndex {
-    type Config = HashIndexConfig;
-
-    fn build(ks: &KeySet, cfg: &Self::Config) -> Result<Self> {
-        if cfg.slots_per_key <= 0.0 || cfg.slots_per_key.is_nan() {
-            return Err(LisError::Invariant("hash slots_per_key must be > 0".into()));
-        }
-        let slots = ((ks.len() as f64 * cfg.slots_per_key).ceil() as usize).max(1);
-        HashIndex::build(ks, slots, cfg.kind)
-    }
-
     fn lookup(&self, key: Key) -> Lookup {
         HashIndex::lookup(self, key)
     }

@@ -7,17 +7,17 @@
 //! defense × victim requires every victim to speak the same language:
 //!
 //! * [`Lookup`] — the shared query result (position, membership, cost);
-//! * [`LearnedIndex`] — the typed build/query trait every structure
-//!   implements;
-//! * [`DynIndex`] / [`ErasedIndex`] — the object-safe form, so harnesses
-//!   can hold a heterogeneous fleet of victims;
+//! * [`LearnedIndex`] — the object-safe query trait every structure
+//!   implements (each builds through its own inherent `build`);
+//! * [`DynIndex`] — a named `Box<dyn LearnedIndex>`, so harnesses can
+//!   hold a heterogeneous fleet of victims;
 //! * [`IndexRegistry`] — string-keyed construction (`"rmi"`, `"btree"`,
 //!   `"pla"`, ...) for CLIs and experiment configs.
 //!
 //! ## Example
 //!
 //! ```
-//! use lis_core::index::{IndexRegistry, LearnedIndex};
+//! use lis_core::index::IndexRegistry;
 //! use lis_core::keys::KeySet;
 //!
 //! let ks = KeySet::from_keys((0..500u64).map(|i| i * 3).collect()).unwrap();
@@ -178,20 +178,17 @@ impl From<SearchResult> for Lookup {
     }
 }
 
-/// The unified build-and-query interface of every index structure.
+/// The unified query interface of every index structure — object-safe,
+/// so [`DynIndex`] holds any of them as `Box<dyn LearnedIndex>`.
+/// Construction is each structure's inherent `build`; the
+/// [`IndexRegistry`] names those.
 ///
 /// `loss` is the structure's training-quality scalar — the MSE of its
 /// fitted model(s) where one exists, `0.0` for purely structural indexes
 /// (B+-tree, ALEX gapped arrays) — i.e. the numerator/denominator of the
 /// paper's Ratio Loss. `memory_bytes` is an estimate of the resident size,
 /// the footprint the PLA attack inflates.
-pub trait LearnedIndex: Sized {
-    /// Build-time configuration.
-    type Config;
-
-    /// Builds the index over a keyset.
-    fn build(ks: &KeySet, cfg: &Self::Config) -> Result<Self>;
-
+pub trait LearnedIndex: Send + Sync {
     /// Looks up one key.
     fn lookup(&self, key: Key) -> Lookup;
 
@@ -224,6 +221,16 @@ pub trait LearnedIndex: Sized {
         out
     }
 
+    /// Reference batch path: one virtual dispatch, then a plain per-key
+    /// loop over [`LearnedIndex::lookup`] — the pre-batching serve path,
+    /// kept callable so benches and property tests can compare the
+    /// optimized batch path against it. Not meant to be overridden.
+    fn lookup_each_into(&self, keys: &[Key], out: &mut Vec<Lookup>) {
+        out.clear();
+        out.reserve(keys.len());
+        out.extend(keys.iter().map(|&k| self.lookup(k)));
+    }
+
     /// Training loss of the structure's model(s); `0.0` when model-free.
     fn loss(&self) -> f64;
 
@@ -239,74 +246,15 @@ pub trait LearnedIndex: Sized {
     }
 }
 
-/// Object-safe mirror of [`LearnedIndex`], blanket-implemented for every
-/// implementor, so harnesses can hold `Box<dyn ErasedIndex>` fleets.
-pub trait ErasedIndex: Send + Sync {
-    /// Looks up one key.
-    fn lookup(&self, key: Key) -> Lookup;
-    /// Looks up a batch of keys (one virtual dispatch for the whole batch).
-    fn lookup_batch(&self, keys: &[Key]) -> Vec<Lookup>;
-    /// Looks up a batch into a caller-owned buffer (one virtual dispatch,
-    /// no allocation once the buffer is warm).
-    fn lookup_batch_into(&self, keys: &[Key], out: &mut Vec<Lookup>);
-    /// Reference batch path: one virtual dispatch, then a plain per-key
-    /// loop over the concrete [`LearnedIndex::lookup`] — the pre-batching
-    /// serve path, kept callable so benches and property tests can
-    /// compare the optimized batch path against it.
-    fn lookup_each_into(&self, keys: &[Key], out: &mut Vec<Lookup>);
-    /// Training loss of the structure's model(s).
-    fn loss(&self) -> f64;
-    /// Estimated resident memory in bytes.
-    fn memory_bytes(&self) -> usize;
-    /// Number of indexed keys.
-    fn len(&self) -> usize;
-    /// `true` iff no keys are indexed.
-    fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-}
-
-impl<T: LearnedIndex + Send + Sync> ErasedIndex for T {
-    fn lookup(&self, key: Key) -> Lookup {
-        LearnedIndex::lookup(self, key)
-    }
-
-    fn lookup_batch(&self, keys: &[Key]) -> Vec<Lookup> {
-        LearnedIndex::lookup_batch(self, keys)
-    }
-
-    fn lookup_batch_into(&self, keys: &[Key], out: &mut Vec<Lookup>) {
-        LearnedIndex::lookup_batch_into(self, keys, out)
-    }
-
-    fn lookup_each_into(&self, keys: &[Key], out: &mut Vec<Lookup>) {
-        out.clear();
-        out.reserve(keys.len());
-        out.extend(keys.iter().map(|&k| LearnedIndex::lookup(self, k)));
-    }
-
-    fn loss(&self) -> f64 {
-        LearnedIndex::loss(self)
-    }
-
-    fn memory_bytes(&self) -> usize {
-        LearnedIndex::memory_bytes(self)
-    }
-
-    fn len(&self) -> usize {
-        LearnedIndex::len(self)
-    }
-}
-
 /// A named, type-erased index — what [`IndexRegistry::build`] hands out.
 pub struct DynIndex {
     name: String,
-    inner: Box<dyn ErasedIndex>,
+    inner: Box<dyn LearnedIndex>,
 }
 
 impl DynIndex {
     /// Wraps a concrete index under a display name.
-    pub fn new(name: impl Into<String>, index: impl ErasedIndex + 'static) -> Self {
+    pub fn new(name: impl Into<String>, index: impl LearnedIndex + 'static) -> Self {
         Self {
             name: name.into(),
             inner: Box::new(index),
@@ -503,15 +451,20 @@ impl IndexRegistry {
     /// | `hash-random` | classic hash table baseline                     |
     pub fn with_defaults() -> Self {
         use crate::alex::{AlexConfig, AlexIndex};
-        use crate::btree::{BPlusTree, BTreeConfig};
+        use crate::btree::BPlusTree;
         use crate::deep_rmi::{DeepRmi, DeepRmiConfig};
-        use crate::hashindex::{HashIndex, HashIndexConfig, HashKind};
-        use crate::pla::{PlaConfig, PlaIndex};
+        use crate::hashindex::{HashIndex, HashKind};
+        use crate::pla::PlaIndex;
         use crate::rmi::{Rmi, RmiConfig, Routing};
 
         /// Second-stage model count for ~100 keys per model.
         fn leaves_for(ks: &KeySet) -> usize {
             (ks.len() / 100).clamp(1, ks.len())
+        }
+
+        /// Hash table size: 1.25 buckets per stored key.
+        fn slots_for(ks: &KeySet) -> usize {
+            ((ks.len() as f64 * 1.25).ceil() as usize).max(1)
         }
 
         let mut reg = Self::empty();
@@ -541,10 +494,7 @@ impl IndexRegistry {
             },
         );
         reg.register("btree", "bulk-loaded B+-tree baseline (fanout 64)", |ks| {
-            Ok(DynIndex::new(
-                "btree",
-                BPlusTree::build(ks, BTreeConfig::default().fanout)?,
-            ))
+            Ok(DynIndex::new("btree", BPlusTree::build(ks, 64)?))
         });
         reg.register("alex", "updatable adaptive index (gapped arrays)", |ks| {
             Ok(DynIndex::new(
@@ -555,21 +505,15 @@ impl IndexRegistry {
         reg.register(
             "pla",
             "error-bounded piecewise-linear index (eps = 16)",
-            |ks| {
-                Ok(DynIndex::new(
-                    "pla",
-                    PlaIndex::build(ks, PlaConfig::default().epsilon)?,
-                ))
-            },
+            |ks| Ok(DynIndex::new("pla", PlaIndex::build(ks, 16)?)),
         );
         reg.register(
             "hash",
             "learned hash table (CDF model as hash function)",
             |ks| {
-                let cfg = HashIndexConfig::default();
                 Ok(DynIndex::new(
                     "hash",
-                    <HashIndex as LearnedIndex>::build(ks, &cfg)?,
+                    HashIndex::build(ks, slots_for(ks), HashKind::Learned)?,
                 ))
             },
         );
@@ -577,13 +521,9 @@ impl IndexRegistry {
             "hash-random",
             "classic hash table baseline (SplitMix64)",
             |ks| {
-                let cfg = HashIndexConfig {
-                    kind: HashKind::Random,
-                    ..Default::default()
-                };
                 Ok(DynIndex::new(
                     "hash-random",
-                    <HashIndex as LearnedIndex>::build(ks, &cfg)?,
+                    HashIndex::build(ks, slots_for(ks), HashKind::Random)?,
                 ))
             },
         );

@@ -66,9 +66,9 @@ pub mod shard;
 pub mod stats;
 
 pub use error::{LisError, Result};
-pub use index::{DynIndex, ErasedIndex, IndexRegistry, LearnedIndex, Lookup};
+pub use index::{DynIndex, IndexRegistry, LearnedIndex, Lookup};
 pub use keys::{Gap, Key, KeyDomain, KeySet, KeyView, Rank, Stage};
 pub use linreg::LinearModel;
 pub use rmi::{Rmi, RmiConfig, Routing};
 pub use scratch::{ScratchDir, ScratchPool};
-pub use shard::{parse_sharded_name, ShardConfig, ShardedIndex};
+pub use shard::{parse_sharded_name, ShardedIndex};

@@ -23,19 +23,6 @@ use crate::scratch::ScratchPool;
 use crate::search::bounded_search_with_fallback;
 use std::sync::Arc;
 
-/// Build configuration for [`PlaIndex`] under the [`LearnedIndex`] API.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct PlaConfig {
-    /// The maximum prediction error `epsilon ≥ 1`, in positions.
-    pub epsilon: usize,
-}
-
-impl Default for PlaConfig {
-    fn default() -> Self {
-        Self { epsilon: 16 }
-    }
-}
-
 /// One PLA segment: keys in `[first_key, last_key]` are predicted by
 /// `rank ≈ slope·(key − first_key) + intercept`.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -310,12 +297,6 @@ impl PlaIndex {
 }
 
 impl LearnedIndex for PlaIndex {
-    type Config = PlaConfig;
-
-    fn build(ks: &KeySet, cfg: &Self::Config) -> Result<Self> {
-        PlaIndex::build(ks, cfg.epsilon)
-    }
-
     fn lookup(&self, key: Key) -> Lookup {
         PlaIndex::lookup(self, key)
     }

@@ -428,12 +428,6 @@ pub(crate) fn scale_to_width(pred: f64, n: usize, width: usize) -> usize {
 }
 
 impl LearnedIndex for Rmi {
-    type Config = RmiConfig;
-
-    fn build(ks: &KeySet, cfg: &Self::Config) -> Result<Self> {
-        Rmi::build(ks, cfg)
-    }
-
     fn lookup(&self, key: Key) -> Lookup {
         Rmi::lookup(self, key)
     }

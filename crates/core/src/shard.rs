@@ -49,9 +49,6 @@ use std::sync::{Arc, Mutex, PoisonError};
 /// Larger offline sweeps still fan out across the thread pool.
 pub const PARALLEL_BATCH_THRESHOLD: usize = 4_096;
 
-/// Shared per-shard constructor held by a [`ShardConfig`].
-pub type ShardBuilder = Arc<dyn Fn(&KeySet) -> Result<DynIndex> + Send + Sync>;
-
 /// Parses a `sharded:<inner>:<N>` registry name into `(inner, N)`.
 ///
 /// The inner name may itself contain colons (so `sharded:sharded:rmi:2:4`
@@ -74,42 +71,6 @@ fn default_threads() -> usize {
     std::thread::available_parallelism()
         .map(|n| n.get())
         .unwrap_or(1)
-}
-
-/// Build-time configuration of a [`ShardedIndex`] (the
-/// [`LearnedIndex::Config`] of the composite).
-#[derive(Clone)]
-pub struct ShardConfig {
-    /// Number of contiguous range shards (clamped to the keyset size).
-    pub shards: usize,
-    /// Worker threads for builds and batched lookups; `0` means the
-    /// machine's available parallelism.
-    pub threads: usize,
-    /// Constructor invoked once per shard keyset.
-    pub build_shard: ShardBuilder,
-}
-
-impl ShardConfig {
-    /// Configuration building each shard with `build_shard`.
-    pub fn new<F>(shards: usize, build_shard: F) -> Self
-    where
-        F: Fn(&KeySet) -> Result<DynIndex> + Send + Sync + 'static,
-    {
-        Self {
-            shards,
-            threads: 0,
-            build_shard: Arc::new(build_shard),
-        }
-    }
-}
-
-impl std::fmt::Debug for ShardConfig {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("ShardConfig")
-            .field("shards", &self.shards)
-            .field("threads", &self.threads)
-            .finish()
-    }
 }
 
 /// A range-partitioned composite index: `N` contiguous shards of the
@@ -313,13 +274,6 @@ impl ShardedIndex {
 // registry row: it is resolved dynamically from `sharded:<name>:<N>`
 // specs, wrapping any registered inner structure.
 impl LearnedIndex for ShardedIndex {
-    type Config = ShardConfig;
-
-    fn build(ks: &KeySet, cfg: &Self::Config) -> Result<Self> {
-        let build_shard = Arc::clone(&cfg.build_shard);
-        Self::build_with(ks, cfg.shards, cfg.threads, move |part| build_shard(part))
-    }
-
     fn lookup(&self, key: Key) -> Lookup {
         self.lookup_one(key)
     }
@@ -614,8 +568,10 @@ mod tests {
     #[test]
     fn loss_is_key_weighted_and_memory_sums_shards() {
         let ks = keyset(900);
-        let cfg = ShardConfig::new(3, |part| IndexRegistry::with_defaults().build("rmi", part));
-        let sharded = ShardedIndex::build(&ks, &cfg).unwrap();
+        let sharded = ShardedIndex::build_with(&ks, 3, 0, |part| {
+            IndexRegistry::with_defaults().build("rmi", part)
+        })
+        .unwrap();
         let per_shard: f64 = sharded
             .shards()
             .iter()

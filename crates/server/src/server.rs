@@ -1590,10 +1590,6 @@ mod tests {
         use lis_core::index::LearnedIndex;
         struct PanickyIndex;
         impl LearnedIndex for PanickyIndex {
-            type Config = ();
-            fn build(_: &KeySet, _: &()) -> lis_core::error::Result<Self> {
-                Ok(Self)
-            }
             fn lookup(&self, _: Key) -> Lookup {
                 panic!("intentional lookup bug")
             }
@@ -1705,10 +1701,6 @@ mod tests {
         use lis_core::index::LearnedIndex;
         struct SlowIndex;
         impl LearnedIndex for SlowIndex {
-            type Config = ();
-            fn build(_: &KeySet, _: &()) -> lis_core::error::Result<Self> {
-                Ok(Self)
-            }
             fn lookup(&self, _: Key) -> Lookup {
                 std::thread::sleep(Duration::from_millis(250));
                 Lookup::membership(true, 1)

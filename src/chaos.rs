@@ -12,8 +12,12 @@
 //! * **correctness** — every answered request must return the *same
 //!   result a fault-free run would* (reads are checked against direct
 //!   index answers, writes against final membership);
-//! * **recovery** — after the injector is disarmed, how long until a
-//!   clean closed-loop sweep completes with zero failures.
+//! * **recovery** — after the injector is disarmed, how long a clean
+//!   pipelined sweep (every probe submitted, then every answer awaited,
+//!   no retries) takes to complete, and how many of its probes fail —
+//!   there must be none. The durable rungs instead time `recover` plus
+//!   the rebuild of a fresh server, and use the sweep only for its
+//!   failure count.
 //!
 //! The ladder (see [`SCENARIOS`]) climbs one fault class at a time:
 //! `baseline` (no faults — the control), `worker-panic` (serve workers
@@ -56,8 +60,8 @@ use lis_defense::{CostDriftMonitor, DensityScreen, SourceRateLimit};
 use lis_online::{run_campaign, Campaign, CampaignConfig};
 use lis_server::fault::FaultConfig;
 use lis_server::{
-    AdmissionPolicy, AdmitAll, Durability, FaultInjector, RetryPolicy, ServeConfig, ServeReport,
-    Server, ServerHandle, WriteOp, WriteStatus, WriteTicket,
+    AdmissionPolicy, AdmitAll, Durability, FaultInjector, ResponseTicket, RetryPolicy, ServeConfig,
+    ServeReport, Server, ServerHandle, WriteOp, WriteStatus, WriteTicket,
 };
 use lis_workloads::{domain_for_density, trial_rng, uniform_keys};
 use rand::Rng;
@@ -684,17 +688,24 @@ fn drive_writes(handle: &ServerHandle, keys: &[Key], policy: &RetryPolicy) -> Wr
     drive
 }
 
-/// Post-disarm clean sweep: closed-loop lookups with *no* retry budget.
-/// Returns (duration, failures) — a recovered server answers everything.
+/// Post-disarm clean sweep with *no* retry budget: every probe is
+/// submitted first (pipelined, so the batcher fills full batches instead
+/// of waiting out its fill deadline once per probe), then each ticket is
+/// waited on. Returns (duration, failures) — a recovered server answers
+/// everything; a failed submit or wait counts as one failure.
 fn recovery_sweep(server: &Server, probes: &[Key]) -> (Duration, usize) {
     let handle = server.handle();
     let started = Instant::now();
-    let mut failures = 0usize;
-    for &key in probes.iter().take(RECOVERY_SWEEP) {
-        if handle.lookup(key).is_err() {
-            failures += 1;
-        }
-    }
+    let tickets: Vec<_> = probes
+        .iter()
+        .take(RECOVERY_SWEEP)
+        .map(|&key| handle.submit(key))
+        .collect();
+    let failures = tickets
+        .into_iter()
+        .map(|ticket| ticket.and_then(ResponseTicket::wait))
+        .filter(Result::is_err)
+        .count();
     (started.elapsed(), failures)
 }
 
@@ -904,9 +915,16 @@ fn run_scenario(scenario: &str, cfg: &ChaosConfig) -> Result<ChaosScenarioReport
     let handle = server.handle();
 
     let policy = if scenario == "queue-saturation" {
+        // The deadline sits below the wait the fault makes the server
+        // estimate. Closed-loop clients leave at most `clients - 1`
+        // requests queued when one submits, and the observed service
+        // time per request is ≈ 0.3 × 5ms ÷ the mean batch (≤ 4), i.e.
+        // ≥ 0.375ms: two queued requests already estimate ≥ 0.75ms. A
+        // deadline above the ≈ 1–2ms peak estimate would shed one
+        // request or none.
         RetryPolicy::new(16)
             .seed(cfg.seed)
-            .deadline(Duration::from_millis(2))
+            .deadline(Duration::from_micros(500))
             .wait_timeout(Duration::from_millis(500))
             .backoff_bounds(Duration::from_micros(200), Duration::from_millis(20))
     } else {

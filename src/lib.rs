@@ -82,7 +82,7 @@ pub mod prelude {
     pub use lis_core::linreg::LinearModel;
     pub use lis_core::metrics::{ratio_loss, rmi_ratio_report};
     pub use lis_core::rmi::{Rmi, RmiConfig, Routing};
-    pub use lis_core::shard::{ShardConfig, ShardedIndex};
+    pub use lis_core::shard::ShardedIndex;
     pub use lis_core::stats::BoxplotSummary;
     pub use lis_defense::{Defense, DefenseOutcome};
     pub use lis_defense::{DensityScreen, SourceRateLimit, TrustedFence};

@@ -281,7 +281,6 @@ impl PipelineReport {
 pub struct Pipeline {
     workload: WorkloadSpec,
     seed: u64,
-    trial: u64,
     attack: Option<Box<dyn Attack>>,
     defense: Option<Box<dyn Defense>>,
     index_names: Vec<String>,
@@ -291,14 +290,13 @@ pub struct Pipeline {
 
 impl Pipeline {
     /// Starts a pipeline over a workload. Defaults: seed
-    /// [`DEFAULT_SEED`], trial 0, no attack, no defense, 2,000 probes, the
+    /// [`DEFAULT_SEED`], no attack, no defense, 2,000 probes, the
     /// default index registry, and — until [`Pipeline::index`] is called —
     /// an empty victim list.
     pub fn new(workload: WorkloadSpec) -> Self {
         Self {
             workload,
             seed: DEFAULT_SEED,
-            trial: 0,
             attack: None,
             defense: None,
             index_names: Vec::new(),
@@ -310,12 +308,6 @@ impl Pipeline {
     /// Sets the RNG seed.
     pub fn seed(mut self, seed: u64) -> Self {
         self.seed = seed;
-        self
-    }
-
-    /// Sets the trial number (independent re-run under the same seed).
-    pub fn trial(mut self, trial: u64) -> Self {
-        self.trial = trial;
         self
     }
 
@@ -377,7 +369,7 @@ impl Pipeline {
                 "pipeline needs at least one probe (queries(0) measures nothing)".into(),
             ));
         }
-        let clean = self.workload.sample(self.seed, self.trial)?;
+        let clean = self.workload.sample(self.seed, 0)?;
 
         // Attack.
         let (attack_name, attack_outcome) = match &self.attack {
@@ -411,7 +403,7 @@ impl Pipeline {
             .map(|d| d.retained.clone())
             .unwrap_or(suspect);
 
-        let probes = draw_probes(&clean, &final_keyset, self.seed, self.trial, self.queries)?;
+        let probes = draw_probes(&clean, &final_keyset, self.seed, 0, self.queries)?;
 
         // Build and measure every distinct victim on a bounded scoped
         // thread pool: repeated names are measured once (builds are

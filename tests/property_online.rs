@@ -6,7 +6,6 @@
 //! keyset — for every victim structure, whether the write stream is
 //! benign churn or an Algorithm-2 campaign.
 
-use lis::core::index::ErasedIndex;
 use lis::online::{run_campaign, Campaign, CampaignConfig};
 use lis::prelude::*;
 use lis::server::{AdmitAll, WriteOp};
@@ -121,18 +120,12 @@ fn assert_online_matches_offline(
 /// it wrapped, so the test's `Arc` is the very index readers are served.
 struct Held(Arc<DynIndex>);
 
-impl ErasedIndex for Held {
+impl LearnedIndex for Held {
     fn lookup(&self, key: Key) -> Lookup {
         self.0.lookup(key)
     }
-    fn lookup_batch(&self, keys: &[Key]) -> Vec<Lookup> {
-        self.0.lookup_batch(keys)
-    }
     fn lookup_batch_into(&self, keys: &[Key], out: &mut Vec<Lookup>) {
         self.0.lookup_batch_into(keys, out)
-    }
-    fn lookup_each_into(&self, keys: &[Key], out: &mut Vec<Lookup>) {
-        self.0.lookup_each_into(keys, out)
     }
     fn loss(&self) -> f64 {
         self.0.loss()
