@@ -44,7 +44,7 @@
 //!   parked threads: a bare `Condvar` notify is a system call per request
 //!   whether or not anyone waits.
 //! * **`shared-key-array`** — no `.keys().to_vec()` in non-test code of
-//!   the rebuilt-per-epoch victims (`crates/core/src/{rmi,deep_rmi,pla}.rs`):
+//!   the rebuilt-per-epoch victims (`crates/core/src/{rmi,pla}.rs`):
 //!   an index stores the keyset's array through `KeySet::shared_keys`, so
 //!   a write epoch's rebuild does not copy every key a second time.
 //! * **`scratch-dir`** — no `temp_dir()` anywhere in the workspace, tests
@@ -447,10 +447,7 @@ fn run_line_rules(
     // process-wide policies (sleeps, global knobs) do not bind them.
     let std_policed =
         !relpath.starts_with("crates/check/src/") && !relpath.starts_with("crates/shims/");
-    let epoch_victim = matches!(
-        relpath,
-        "crates/core/src/rmi.rs" | "crates/core/src/deep_rmi.rs" | "crates/core/src/pla.rs"
-    );
+    let epoch_victim = matches!(relpath, "crates/core/src/rmi.rs" | "crates/core/src/pla.rs");
     let signals = if matches!(
         relpath,
         "crates/server/src/queue.rs" | "crates/server/src/server.rs" | "crates/server/src/write.rs"

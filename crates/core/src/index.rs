@@ -1,9 +1,9 @@
 //! The unified index API: one trait, one lookup result, one registry.
 //!
 //! The paper mounts the *same* poisoning campaign against many victim
-//! structures — regression CDF models, two-stage and multi-stage RMIs,
-//! updatable ALEX-style indexes, error-bounded PLA indexes, learned hash
-//! tables, and the B+-tree baseline. Composing *any* workload × attack ×
+//! structures — regression CDF models, two-stage RMIs, updatable
+//! ALEX-style indexes, error-bounded PLA indexes, learned hash tables,
+//! and the B+-tree baseline. Composing *any* workload × attack ×
 //! defense × victim requires every victim to speak the same language:
 //!
 //! * [`Lookup`] — the shared query result (position, membership, cost);
@@ -105,8 +105,8 @@ fn build_probe_order(keys: &[Key], order: &mut Vec<(Key, usize)>) {
     }
 }
 
-/// Shared scaffolding of the sorted-batch lookup paths (RMI, deep RMI,
-/// PLA): clears `out`, sorts the probes together with their original
+/// Shared scaffolding of the sorted-batch lookup paths (RMI, PLA):
+/// clears `out`, sorts the probes together with their original
 /// slots through a pooled permutation buffer, serves them in ascending
 /// key order through `serve` (which owns any routing cursor state), and
 /// scatters the answers back into probe order. Steady-state calls reuse
@@ -443,7 +443,6 @@ impl IndexRegistry {
     /// |---------------|-------------------------------------------------|
     /// | `rmi`         | two-stage RMI, linear root, oracle routing      |
     /// | `rmi-root`    | two-stage RMI, root-predicted routing           |
-    /// | `deep-rmi`    | three-stage RMI                                 |
     /// | `btree`       | bulk-loaded B+-tree, fanout 64                  |
     /// | `alex`        | updatable gapped-array index                    |
     /// | `pla`         | error-bounded PLA index, ε = 16                 |
@@ -452,7 +451,6 @@ impl IndexRegistry {
     pub fn with_defaults() -> Self {
         use crate::alex::{AlexConfig, AlexIndex};
         use crate::btree::BPlusTree;
-        use crate::deep_rmi::{DeepRmi, DeepRmiConfig};
         use crate::hashindex::{HashIndex, HashKind};
         use crate::pla::PlaIndex;
         use crate::rmi::{Rmi, RmiConfig, Routing};
@@ -481,16 +479,6 @@ impl IndexRegistry {
                     routing: Routing::Root,
                 };
                 Ok(DynIndex::new("rmi-root", Rmi::build(ks, &cfg)?))
-            },
-        );
-        reg.register(
-            "deep-rmi",
-            "three-stage RMI (generalized hierarchy)",
-            |ks| {
-                let leaves = leaves_for(ks);
-                let mid = (leaves / 10).max(2);
-                let cfg = DeepRmiConfig::three_stage(mid, leaves.max(4));
-                Ok(DynIndex::new("deep-rmi", DeepRmi::build(ks, &cfg)?))
             },
         );
         reg.register("btree", "bulk-loaded B+-tree baseline (fanout 64)", |ks| {
@@ -592,19 +580,20 @@ mod tests {
     #[test]
     fn defaults_cover_all_structures() {
         let reg = IndexRegistry::with_defaults();
-        let names = reg.names();
-        for expected in [
-            "rmi",
-            "rmi-root",
-            "deep-rmi",
-            "btree",
+        // Exact, not a superset: a victim added or dropped without a
+        // matching edit here fails. `names()` is sorted.
+        let expected = [
             "alex",
-            "pla",
+            "btree",
             "hash",
             "hash-random",
-        ] {
-            assert!(names.contains(&expected), "missing {expected}");
-            assert!(reg.description(expected).is_some());
+            "pla",
+            "rmi",
+            "rmi-root",
+        ];
+        assert_eq!(reg.names(), expected);
+        for name in expected {
+            assert!(reg.description(name).is_some(), "{name} has no description");
         }
     }
 
@@ -689,7 +678,7 @@ mod tests {
             .chain([1, 9, 10_000])
             .collect();
         let dirty = || vec![Lookup::membership(true, 77); 3];
-        for name in ["rmi", "rmi-root", "deep-rmi", "pla"] {
+        for name in ["rmi", "rmi-root", "pla"] {
             let idx = reg.build(name, &ks).unwrap();
             let mut reference = Vec::new();
             idx.lookup_each_into(&probes, &mut reference);

@@ -50,7 +50,6 @@
 pub mod alex;
 pub mod bloom;
 pub mod btree;
-pub mod deep_rmi;
 pub mod error;
 pub mod hashindex;
 pub mod index;

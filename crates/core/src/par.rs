@@ -1,7 +1,6 @@
 //! Fan-out for the build and batch planes, shared by every structure
-//! that trains independent sub-models (RMI leaves, deep-RMI stages,
-//! sharded composites, pipeline victims) or serves oversize batches
-//! across shards.
+//! that trains independent sub-models (RMI leaves, sharded composites,
+//! pipeline victims) or serves oversize batches across shards.
 //!
 //! The discipline mirrors [`crate::shard::ShardedIndex`]: at most
 //! `workers` execution lanes, each owning one *contiguous* chunk of the

@@ -422,7 +422,7 @@ impl Rmi {
 /// `(1 − ε)·width` can round up to `width` in `f64`, and a pathological
 /// root predicting far beyond `n` must still route to the last model, not
 /// one past it.
-pub(crate) fn scale_to_width(pred: f64, n: usize, width: usize) -> usize {
+fn scale_to_width(pred: f64, n: usize, width: usize) -> usize {
     let frac = ((pred - 1.0) / n as f64).clamp(0.0, 1.0 - f64::EPSILON);
     ((frac * width as f64) as usize).min(width - 1)
 }

@@ -36,8 +36,5 @@ pub use admission::{DensityScreen, SourceRateLimit, TrustedFence};
 pub use drift::CostDriftMonitor;
 pub use eval::{evaluate_defense, evaluate_defense_campaign, DefenseReport};
 pub use robust::{compare_on_attack, theil_sen, RobustModel};
-pub use strategy::{
-    Defense, DefenseOutcome, DensityDefense, IqrDefense, NoDefense, RangeDefense, TrimBudget,
-    TrimDefense,
-};
+pub use strategy::{Defense, DefenseOutcome, DensityDefense, IqrDefense, TrimBudget, TrimDefense};
 pub use trim::{trim_defense, TrimConfig, TrimOutcome};

@@ -3,8 +3,9 @@
 //!
 //! A defense consumes a *suspect* keyset (possibly poisoned) and returns
 //! the subset it trusts. Wrappers are provided for the TRIM adaptation
-//! ([`TrimDefense`]), the value-space filters ([`RangeDefense`],
-//! [`IqrDefense`], [`DensityDefense`]), and the [`NoDefense`] baseline.
+//! ([`TrimDefense`]) and the value-space filters ([`IqrDefense`],
+//! [`DensityDefense`]). An undefended run has no defense stage at all:
+//! the pipeline holds its defense as an `Option`.
 //!
 //! ## Example
 //!
@@ -49,23 +50,6 @@ pub trait Defense {
 
     /// Sanitizes `suspect`, returning the retained subset.
     fn sanitize(&self, suspect: &KeySet) -> Result<DefenseOutcome>;
-}
-
-/// The no-op defense — the undefended baseline row of every sweep.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct NoDefense;
-
-impl Defense for NoDefense {
-    fn name(&self) -> &str {
-        "none"
-    }
-
-    fn sanitize(&self, suspect: &KeySet) -> Result<DefenseOutcome> {
-        Ok(DefenseOutcome {
-            retained: suspect.clone(),
-            removed: Vec::new(),
-        })
-    }
 }
 
 /// How [`TrimDefense`] derives the retained count from the suspect set.
@@ -137,26 +121,6 @@ impl Defense for TrimDefense {
     }
 }
 
-/// Trusted value envelope: drops keys outside `[lo, hi]`.
-#[derive(Debug, Clone, Copy)]
-pub struct RangeDefense {
-    /// Smallest trusted key (inclusive).
-    pub lo: Key,
-    /// Largest trusted key (inclusive).
-    pub hi: Key,
-}
-
-impl Defense for RangeDefense {
-    fn name(&self) -> &str {
-        "range-filter"
-    }
-
-    fn sanitize(&self, suspect: &KeySet) -> Result<DefenseOutcome> {
-        let (kept, removed) = outlier::range_filter(suspect, self.lo, self.hi);
-        retained_from(suspect, kept, removed)
-    }
-}
-
 /// Tukey's fences on the key values.
 #[derive(Debug, Clone, Copy)]
 pub struct IqrDefense {
@@ -220,14 +184,6 @@ mod tests {
     }
 
     #[test]
-    fn no_defense_is_identity() {
-        let ks = uniform(40, 3);
-        let out = NoDefense.sanitize(&ks).unwrap();
-        assert_eq!(out.retained, ks);
-        assert!(out.removed.is_empty());
-    }
-
-    #[test]
     fn trim_budgets_agree() {
         let clean = uniform(100, 9);
         let attack = GreedyCdfAttack {
@@ -266,10 +222,6 @@ mod tests {
         keys.push(9_999_999);
         let suspect = KeySet::from_keys(keys).unwrap();
         let fleet: Vec<Box<dyn Defense>> = vec![
-            Box::new(RangeDefense {
-                lo: 5_000,
-                hi: 5_600,
-            }),
             Box::new(IqrDefense { k: 1.5 }),
             Box::new(DensityDefense {
                 window: 3,

@@ -52,8 +52,8 @@ pub mod single;
 pub mod volume;
 
 pub use attack::{
-    Attack, AttackOutcome, DpRmiPoisonAttack, GreedyCdfAttack, MixedAttack, NullAttack,
-    RemovalAttack, RmiPoisonAttack,
+    Attack, AttackOutcome, DpRmiPoisonAttack, GreedyCdfAttack, MixedAttack, RemovalAttack,
+    RmiPoisonAttack,
 };
 pub use blackbox::{blackbox_rmi_attack, infer_leaf_models, BlackboxOutcome};
 pub use greedy::{

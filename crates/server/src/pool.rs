@@ -2,7 +2,7 @@
 //! home for threads.
 //!
 //! Every fan-out in the workspace used to spawn scoped threads per batch
-//! (server workers aside): RMI/deep-RMI leaf training, sharded builds,
+//! (server workers aside): RMI leaf training, sharded builds,
 //! sharded oversize lookups. A [`WorkerPool`] replaces all of them with
 //! one fixed set of workers, spawned once and reused: it implements
 //! [`lis_core::par::Fanout`], and [`shared`] registers the process-wide

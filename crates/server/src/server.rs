@@ -33,7 +33,7 @@
 //! * **live traffic** — client threads submit keys continuously through
 //!   [`ServerHandle::submit`] while the histogram tracks tail latency in
 //!   flight;
-//! * **online mutation** — write campaigns (see `lis_online`) poison the
+//! * **online mutation** — write campaigns (see `lis::online`) poison the
 //!   served keyset *while* benign traffic measures the drift.
 
 use crate::durability::{Durability, DurableStore};

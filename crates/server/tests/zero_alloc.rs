@@ -99,7 +99,7 @@ fn steady_state_serving_performs_no_per_batch_allocation() {
     let probes: Vec<Key> = ks.keys().iter().step_by(29).copied().collect();
 
     // Window 1: the index batch hot path is allocation-free once warm.
-    for name in ["rmi", "deep-rmi", "pla", "btree", "sharded:rmi:8"] {
+    for name in ["rmi", "pla", "btree", "sharded:rmi:8"] {
         let index = registry.build(name, &ks).unwrap();
         assert_batch_path_allocation_free(name, &index, &probes);
     }

@@ -52,12 +52,12 @@
 //! and drift separations) are listed at [`ChaosScenarioReport::violations`]
 //! and [`ChaosReport::violations`].
 
+use crate::online::{run_campaign, Campaign, CampaignConfig};
 use lis_core::error::{LisError, Result};
 use lis_core::index::IndexRegistry;
 use lis_core::keys::{Key, KeySet};
 use lis_core::scratch::ScratchDir;
 use lis_defense::{CostDriftMonitor, DensityScreen, SourceRateLimit};
-use lis_online::{run_campaign, Campaign, CampaignConfig};
 use lis_server::fault::FaultConfig;
 use lis_server::{
     AdmissionPolicy, AdmitAll, Durability, FaultInjector, ResponseTicket, RetryPolicy, ServeConfig,

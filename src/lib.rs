@@ -4,8 +4,8 @@
 //! Index to Your Data: Poisoning Attacks on Learned Index Structures"*
 //! (Kornaropoulos, Ren, Tamassia — SIGMOD 2022).
 //!
-//! Re-exports the four subsystem crates and adds the experiment
-//! [`pipeline`]:
+//! Re-exports the five subsystem crates and adds the online attack plane,
+//! the experiment [`pipeline`], the scenario ladder and the figures table:
 //!
 //! * [`core`] — the learned-index substrate (CDF regression, RMI,
 //!   B+-tree baseline, metrics) and the unified
@@ -20,7 +20,7 @@
 //!   queue, adaptive micro-batcher, worker pool, latency histogram, and
 //!   the epoch-swapped write plane with pluggable admission control);
 //! * [`online`] — the online attack plane: live Algorithm-2 poisoning
-//!   campaigns through the serve path;
+//!   campaigns submitted as writes through [`server`]'s write plane;
 //! * [`pipeline`] — the workload → attack → defense → index → report
 //!   builder composing all of the above, measuring through [`server`];
 //! * [`chaos`] — the scenario ladder: deterministic fault injection
@@ -61,13 +61,13 @@
 
 pub use lis_core as core;
 pub use lis_defense as defense;
-pub use lis_online as online;
 pub use lis_poison as poison;
 pub use lis_server as server;
 pub use lis_workloads as workloads;
 
 pub mod chaos;
 pub mod figures;
+pub mod online;
 pub mod pipeline;
 
 /// Convenience prelude importing the types used by almost every experiment.
@@ -75,6 +75,7 @@ pub mod prelude {
     pub use crate::chaos::{
         run_chaos, run_chaos_scenario, ChaosConfig, ChaosReport, ChaosScenarioReport,
     };
+    pub use crate::online::{run_campaign, Campaign, CampaignConfig};
     pub use crate::pipeline::{Pipeline, PipelineReport, WorkloadSpec};
     pub use lis_core::btree::BPlusTree;
     pub use lis_core::index::{DynIndex, IndexRegistry, LearnedIndex, Lookup};
@@ -86,7 +87,6 @@ pub mod prelude {
     pub use lis_core::stats::BoxplotSummary;
     pub use lis_defense::{Defense, DefenseOutcome};
     pub use lis_defense::{DensityScreen, SourceRateLimit, TrustedFence};
-    pub use lis_online::{run_campaign, Campaign, CampaignConfig};
     pub use lis_poison::{
         greedy_poison, greedy_poison_lazy, optimal_single_point, rmi_attack, Attack, AttackOutcome,
         GreedyPlan, IncrementalOracle, PoisonBudget, RmiAttackConfig, RmiAttackResult,

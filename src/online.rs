@@ -1,5 +1,27 @@
-//! The live Algorithm-2 campaign: plan offline once, poison online
-//! through the serve path, adapt to rejections.
+//! The online attack plane: live Algorithm-2 poisoning campaigns driven
+//! through the serve path.
+//!
+//! Everything before this module poisons a keyset *offline*: run Algorithm
+//! 1 or 2, rebuild the index, measure. This module closes the loop the
+//! paper's threat model actually describes — an adversary who can only
+//! *submit writes* to a running system:
+//!
+//! * [`Campaign`] turns the Algorithm-2 plan (per-model volume allocation
+//!   from `lis_poison::rmi_attack`) into a live write stream: each poison
+//!   insert is chosen against the currently-served keyset with the
+//!   O(1)-update [`IncrementalOracle`] (no rebuilds on the attacker's
+//!   side), submitted through the same [`ServerHandle`] as benign
+//!   traffic, and the campaign *adapts* when admission control rejects a
+//!   key;
+//! * [`run_campaign`] streams a campaign through a server handle, a
+//!   window of writes in flight at a time.
+//!
+//! The scenarios that score a campaign against the live server — benign
+//! churn, undefended, and admission-defended, measured on serving drift,
+//! defense recall and benign collateral — are rungs of the scenario ladder
+//! ([`crate::chaos`], `lis-cli chaos`).
+//!
+//! ## Plan offline once, poison online, adapt to rejections
 //!
 //! Algorithm 2 solves two problems: how much poison each second-stage
 //! model deserves (volume allocation, via bounded exchanges) and which

@@ -354,9 +354,9 @@ impl Pipeline {
     /// Per-victim builds and measurements run concurrently on scoped
     /// threads (every structure in the workspace is `Send + Sync`), and
     /// *within* each victim the model-based builds fan their own training
-    /// out too (RMI leaf fits, deep-RMI stage fits — see
-    /// [`lis_core::par`]). Each build is measured with one batched lookup
-    /// sweep over the probes, and a panicking victim build surfaces as
+    /// out too (RMI leaf fits, per-shard builds — see [`lis_core::par`]).
+    /// Each build is measured with one batched lookup sweep over the
+    /// probes, and a panicking victim build surfaces as
     /// [`LisError::Invariant`] instead of crashing the run.
     pub fn run(self) -> Result<PipelineReport> {
         if self.index_names.is_empty() {
@@ -403,7 +403,7 @@ impl Pipeline {
             .map(|d| d.retained.clone())
             .unwrap_or(suspect);
 
-        let probes = draw_probes(&clean, &final_keyset, self.seed, 0, self.queries)?;
+        let probes = draw_probes(&clean, &final_keyset, self.seed, self.queries)?;
 
         // Build and measure every distinct victim on a bounded scoped
         // thread pool: repeated names are measured once (builds are
@@ -531,13 +531,7 @@ impl Pipeline {
 /// Draws `count` probe keys, uniformly with replacement, from the
 /// legitimate keys that survived the whole pipeline, so both builds must
 /// answer them and their costs are comparable.
-fn draw_probes(
-    clean: &KeySet,
-    final_keyset: &KeySet,
-    seed: u64,
-    trial: u64,
-    count: usize,
-) -> Result<Vec<Key>> {
+fn draw_probes(clean: &KeySet, final_keyset: &KeySet, seed: u64, count: usize) -> Result<Vec<Key>> {
     let survivors: Vec<Key> = final_keyset
         .keys()
         .iter()
@@ -549,7 +543,7 @@ fn draw_probes(
             "no legitimate key survived the pipeline".into(),
         ));
     }
-    let mut rng = trial_rng(seed ^ 0x51ED_BEEF, trial);
+    let mut rng = trial_rng(seed ^ 0x51ED_BEEF, 0);
     Ok((0..count)
         .map(|_| survivors[rng.gen_range(0..survivors.len())])
         .collect())
@@ -915,7 +909,6 @@ mod tests {
                 &report.clean,
                 &report.final_keyset,
                 PINNED_SEED,
-                0,
                 report.probes,
             )
             .unwrap();

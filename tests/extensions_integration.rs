@@ -1,10 +1,10 @@
 //! Cross-crate integration tests for the extension subsystems: the DP
 //! attack on realistic data, query-workload-driven lookup costs, and the
-//! multi-stage RMI under poisoning.
+//! learned existence index, updatable index and learned hash table under
+//! poisoning.
 
 use lis::core::alex::{AlexConfig, AlexIndex};
 use lis::core::bloom::LearnedBloom;
-use lis::core::deep_rmi::{DeepRmi, DeepRmiConfig};
 use lis::core::hashindex::{HashIndex, HashKind};
 use lis::poison::volume::dp_rmi_attack;
 use lis::prelude::*;
@@ -84,19 +84,6 @@ fn existence_index_mixed_workload() {
         false_negatives, 0,
         "existence index must never miss a member"
     );
-}
-
-#[test]
-fn deep_rmi_vs_two_stage_on_real_shape() {
-    let lat = realsim::osm_latitudes_scaled(3, 10_000).unwrap();
-    let two = DeepRmi::build(&lat, &DeepRmiConfig::two_stage(100)).unwrap();
-    let three = DeepRmi::build(&lat, &DeepRmiConfig::three_stage(10, 100)).unwrap();
-    // Both must answer every membership query correctly.
-    for (i, &k) in lat.keys().iter().enumerate().step_by(97) {
-        assert_eq!(two.lookup(k).pos, Some(i));
-        assert_eq!(three.lookup(k).pos, Some(i));
-    }
-    assert_eq!(three.depth(), 3);
 }
 
 #[test]

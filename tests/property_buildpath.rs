@@ -5,7 +5,6 @@
 //! strength against the exact engine — across all three workload shapes,
 //! clean and poisoned.
 
-use lis::core::deep_rmi::{DeepRmi, DeepRmiConfig};
 use lis::core::pla::PlaIndex;
 use lis::core::rmi::{Rmi, RmiConfig};
 use lis::prelude::*;
@@ -84,42 +83,6 @@ fn rmi_parallel_build_equals_serial_and_reference() {
 }
 
 #[test]
-fn deep_rmi_parallel_build_equals_serial_and_reference() {
-    for (shape, base) in shapes() {
-        for (dataset, ks) in datasets(&base) {
-            let cfg = DeepRmiConfig::three_stage(6, (ks.len() / 40).max(8));
-            let reference = DeepRmi::build_reference(&ks, &cfg).unwrap();
-            let serial = DeepRmi::build_with_threads(&ks, &cfg, 1).unwrap();
-            for threads in [2usize, 4] {
-                let parallel = DeepRmi::build_with_threads(&ks, &cfg, threads).unwrap();
-                let ctx = format!("{shape}/{dataset}/{threads} threads");
-                assert_eq!(
-                    serial.leaf_loss().to_bits(),
-                    parallel.leaf_loss().to_bits(),
-                    "{ctx}"
-                );
-                assert_eq!(
-                    reference.leaf_loss().to_bits(),
-                    parallel.leaf_loss().to_bits(),
-                    "{ctx}"
-                );
-                assert_eq!(serial.max_leaf_error(), parallel.max_leaf_error(), "{ctx}");
-                assert_eq!(
-                    reference.max_leaf_error(),
-                    parallel.max_leaf_error(),
-                    "{ctx}"
-                );
-                for k in probes(&ks) {
-                    let hit = parallel.lookup(k);
-                    assert_eq!(hit, serial.lookup(k), "{ctx} key {k}");
-                    assert_eq!(hit, reference.lookup(k), "{ctx} key {k}");
-                }
-            }
-        }
-    }
-}
-
-#[test]
 fn pla_build_equals_reference_with_streaming_stats() {
     for (shape, base) in shapes() {
         for (dataset, ks) in datasets(&base) {
@@ -160,7 +123,7 @@ fn registry_builds_still_serve_after_the_build_plane_overhaul() {
     let registry = IndexRegistry::with_defaults();
     for (shape, base) in shapes() {
         for (dataset, ks) in datasets(&base) {
-            for name in ["rmi", "deep-rmi", "pla"] {
+            for name in ["rmi", "pla"] {
                 let idx = registry.build(name, &ks).unwrap();
                 for (i, &k) in ks.keys().iter().enumerate().step_by(53) {
                     let hit = idx.lookup(k);
